@@ -93,7 +93,8 @@ class RunConfig:
         _require(0 < self.rho_low < 1, "rho_low", "must be in (0, 1)")
         _require(self.beta_bar_init >= 1, "beta_bar_init", "must be >= 1")
         _require(self.beta_bar_max >= self.beta_bar_init, "beta_bar_max", "must be >= beta_bar_init")
-        _require(self.beta_hat_init >= 0, "beta_hat_init", "must be >= 0")
+        # the sharpness ramp is geometric, so it never leaves 0
+        _require(self.beta_hat_init > 0, "beta_hat_init", "must be positive")
         _require(self.beta_hat_max >= self.beta_hat_init, "beta_hat_max", "must be >= beta_hat_init")
         _require(self.p_init >= 1, "p_init", "must be >= 1")
         _require(self.p_max >= self.p_init, "p_max", "must be >= p_init")
@@ -101,7 +102,7 @@ class RunConfig:
             _require(getattr(self, key) > 1, key, "must be > 1")
         _require(self.continuation_mode in CONTINUATION_MODES, "continuation_mode",
                  f"must be one of {CONTINUATION_MODES}")
-        _require(self.step_init > 0, "step_init", "must be positive")
+        _require(0 < self.step_init <= 1, "step_init", "must be in (0, 1]")
         _require(0 < self.step_decay < 1, "step_decay", "must be in (0, 1)")
         _require(0 < self.step_min <= self.step_init, "step_min", "must be in (0, step_init]")
         _require(0 < self.vol_frac <= 1, "vol_frac", "must be in (0, 1]")

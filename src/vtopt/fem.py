@@ -8,10 +8,11 @@ reference mode).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import cg, splu
 
 from .errors import NumericalError, StaleStateError, StructuralError
@@ -119,12 +120,14 @@ def modulus_derivative(rho_physical, p: float, rho_low: float, mat: MaterialMode
     return dstiff * (1.0 - mat.rho_min) * mat.E0
 
 
+@functools.lru_cache(maxsize=8)
 def element_stiffness(nu: float) -> np.ndarray:
     """Unit-modulus plane-stress stiffness of a square bilinear element.
 
     Size-independent for square elements, so one matrix serves the whole grid.
     Node order: lower-left, lower-right, upper-right, upper-left; dofs (ux, uy)
     per node. Computed on the reference square with 2x2 Gauss quadrature.
+    Cached per nu; the returned array is read-only.
     """
     C = np.array([[1.0, nu, 0.0],
                   [nu, 1.0, 0.0],
@@ -142,20 +145,114 @@ def element_stiffness(nu: float) -> np.ndarray:
             B[2, 0::2] = dn_deta
             B[2, 1::2] = dn_dxi
             k += B.T @ C @ B
+    k.setflags(write=False)
     return k
 
 
 def element_dof_map(grid: StructuredGrid) -> np.ndarray:
-    """(n_elements, 8) global dof indices per element, matching element_stiffness order."""
-    e = np.arange(grid.n_elements)
-    i = e % grid.nx
-    j = e // grid.nx
-    ll = j * (grid.nx + 1) + i
-    nodes = np.column_stack([ll, ll + 1, ll + grid.nx + 2, ll + grid.nx + 1])
-    dofs = np.empty((grid.n_elements, 8), dtype=np.int64)
+    """(n_elements, 8) global dof indices per element, matching element_stiffness order.
+
+    Cached per grid size; the returned array is read-only.
+    """
+    return _element_dofs(grid.nx, grid.ny)
+
+
+@functools.lru_cache(maxsize=8)
+def _element_dofs(nx: int, ny: int) -> np.ndarray:
+    e = np.arange(nx * ny)
+    i = e % nx
+    j = e // nx
+    ll = j * (nx + 1) + i
+    nodes = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
+    dofs = np.empty((nx * ny, 8), dtype=np.int64)
     dofs[:, 0::2] = 2 * nodes
     dofs[:, 1::2] = 2 * nodes + 1
+    dofs.setflags(write=False)
     return dofs
+
+
+def dissection_order(nx: int, ny: int) -> np.ndarray:
+    """Nodes of the (nx+1) x (ny+1) node grid in geometric nested-dissection order.
+
+    A block of nodes is split across its longer side by the middle grid line;
+    the two halves come first, each ordered the same way, and the line last.
+    No element couples nodes on opposite sides of a grid line, so eliminating
+    in this order confines the fill of a direct factorization to the
+    separators (George, SIAM J. Numer. Anal. 1973). Blocks one node wide are
+    taken in grid order.
+    """
+    order: list[np.ndarray] = []
+
+    def dissect(i0, i1, j0, j1):
+        width, height = i1 - i0, j1 - j0
+        if min(width, height) < 2:
+            order.append((np.arange(j0, j1)[:, None] * (nx + 1) + np.arange(i0, i1)).ravel())
+        elif width >= height:
+            m = (i0 + i1) // 2
+            dissect(i0, m, j0, j1)
+            dissect(m + 1, i1, j0, j1)
+            order.append(np.arange(j0, j1) * (nx + 1) + m)
+        else:
+            m = (j0 + j1) // 2
+            dissect(i0, i1, j0, m)
+            dissect(i0, i1, m + 1, j1)
+            order.append(m * (nx + 1) + np.arange(i0, i1))
+
+    dissect(0, nx + 1, 0, ny + 1)
+    return np.concatenate(order)
+
+
+@dataclass(frozen=True)
+class FreeStiffnessPattern:
+    """Sparsity of the free-dof stiffness K_ff, rows and columns in dissection order.
+
+    ``free[k]`` is the global dof of row and column k. ``indptr``/``indices``
+    are the CSC structure of K_ff. ``scatter`` gives, for every entry of the
+    (n_elements, 8, 8) element matrices in C order, its slot in the CSC data;
+    entries that touch a fixed dof go to the extra slot ``nnz``, which is
+    dropped.
+    """
+
+    free: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+
+    def stiffness(self, E: np.ndarray, k0: np.ndarray) -> csc_matrix:
+        """K_ff for element moduli E and unit element stiffness k0."""
+        nnz = self.indices.size
+        data = np.bincount(self.scatter, weights=(E[:, None] * k0.ravel()).ravel(),
+                           minlength=nnz + 1)[:nnz]
+        return csc_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
+
+
+def free_stiffness_pattern(grid: StructuredGrid, bc: BoundaryConditions) -> FreeStiffnessPattern:
+    """The K_ff pattern of a grid size and fixed-dof set, built on first use and cached."""
+    fixed = bc.fixed_dofs().astype(np.int64)
+    return _free_stiffness_pattern(grid.nx, grid.ny, fixed.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _free_stiffness_pattern(nx: int, ny: int, fixed_bytes: bytes) -> FreeStiffnessPattern:
+    nodes = dissection_order(nx, ny)
+    dofs = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
+    free = dofs[~np.isin(dofs, np.frombuffer(fixed_bytes, dtype=np.int64))]
+    n = free.size
+    position = np.full(dofs.size, -1, dtype=np.int64)
+    position[free] = np.arange(n)
+    edof = position[_element_dofs(nx, ny)]
+    rows = np.repeat(edof, 8, axis=1).ravel()
+    cols = np.tile(edof, (1, 8)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, slots = np.unique(cols[kept] * n + rows[kept], return_inverse=True)
+    scatter = np.full(rows.size, keys.size, dtype=np.int64)
+    scatter[kept] = slots
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    pattern = FreeStiffnessPattern(free=free, indptr=indptr.astype(np.int32),
+                                   indices=(keys % n).astype(np.int32), scatter=scatter)
+    for array in (pattern.free, pattern.indptr, pattern.indices, pattern.scatter):
+        array.setflags(write=False)
+    return pattern
 
 
 def cantilever_bc(grid: StructuredGrid, clamp_edge: str = "left",
@@ -198,39 +295,37 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
                        rho_physical: ElementField, p: float, rho_low: float,
                        mat: MaterialModel, interpolation: str = "selective",
                        solver: str = "direct") -> StateSolution:
-    """Assemble K(rho) and solve K u = f; returns displacements and compliance."""
+    """Assemble K(rho) and solve K u = f; returns displacements and compliance.
+
+    The free-dof system is assembled straight into the cached dissection-ordered
+    pattern. The direct solver factors it without pivoting in symmetric mode:
+    K_ff is symmetric positive definite, since the rho_min floor keeps every
+    element modulus positive and the fixed dofs remove the rigid-body modes.
+    """
     if len(rho_physical) != grid.n_elements:
         raise ValueError(f"field length {len(rho_physical)} does not match grid "
                          f"with {grid.n_elements} elements")
     E = interpolate_modulus(rho_physical.values, p, rho_low, mat, interpolation)
-    k0 = element_stiffness(mat.nu)
-    edof = element_dof_map(grid)
-    n_dofs = 2 * grid.n_nodes
+    pattern = free_stiffness_pattern(grid, bc)
+    Kff = pattern.stiffness(E, element_stiffness(mat.nu))
+    f = bc.load_vector(2 * grid.n_nodes)
+    ff = f[pattern.free]
 
-    data = (E[:, None, None] * k0).ravel()
-    rows = np.repeat(edof, 8, axis=1).ravel()
-    cols = np.tile(edof, (1, 8)).ravel()
-    K = coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsc()
-
-    fixed = bc.fixed_dofs()
-    free = np.setdiff1d(np.arange(n_dofs), fixed)
-    f = bc.load_vector(n_dofs)
-    Kff = K[free][:, free]
-    ff = f[free]
-
-    u = np.zeros(n_dofs)
+    u = np.zeros_like(f)
     fnorm = np.linalg.norm(ff)
     if fnorm == 0.0:
         residual = 0.0
     elif solver == "direct":
         try:
-            lu = splu(Kff)
+            lu = splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
         except RuntimeError as err:
             raise StructuralError(f"stiffness factorization failed: {err}") from err
-        u[free] = lu.solve(ff)
-        if not np.isfinite(u[free]).all():
+        sol = lu.solve(ff)
+        if not np.isfinite(sol).all():
             raise StructuralError("singular stiffness system (insufficient constraints)")
-        residual = np.linalg.norm(Kff @ u[free] - ff) / fnorm
+        u[pattern.free] = sol
+        residual = np.linalg.norm(Kff @ sol - ff) / fnorm
         if not residual <= DIRECT_RESIDUAL_TOL:
             if residual > 1e-6:   # far beyond roundoff: rank deficiency, not precision loss
                 raise StructuralError("singular stiffness system (insufficient constraints), "
@@ -243,7 +338,7 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
                        maxiter=20 * Kff.shape[0])
         if info != 0:
             raise NumericalError(f"cg did not converge (info={info})")
-        u[free] = sol
+        u[pattern.free] = sol
         residual = np.linalg.norm(Kff @ sol - ff) / fnorm
     else:
         raise ValueError(f"unknown solver {solver!r}")

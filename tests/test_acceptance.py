@@ -151,7 +151,7 @@ class TestQuantitative:
             base = runs(matrix_case(r, None)).compliance
             for beta in SHARPNESS:
                 ratio = runs(matrix_case(r, beta)).compliance / base
-                cells.append(f"r={r:g},b={'off' if beta is None else beta:g}:{ratio:.4f}")
+                cells.append(f"r={r:g},b={'off' if beta is None else f'{beta:g}'}:{ratio:.4f}")
                 ok = ok and 0.99 <= ratio <= 1.02
         criterion(4, ok, "normalized compliance cells " + " ".join(cells) + " all in [0.99, 1.02]")
 

@@ -121,6 +121,15 @@ class TestCliVerbs:
         assert main(["run", str(cfg)]) == 1
         assert "vol_frac" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,key", [("step_init = 1.5", "step_init"),
+                                          ("beta_hat_init = 0", "beta_hat_init")])
+    def test_config_rejected_before_the_run(self, tmp_path, capsys, line, key):
+        cfg = write_cfg(tmp_path, FAST + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 

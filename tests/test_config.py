@@ -66,6 +66,8 @@ class TestValidation:
         ("clamp_edge = diagonal", "clamp_edge"),
         ("volume_on = both", "volume_on"),
         ("solver = magic", "solver"),
+        ("step_init = 1.5", "step_init"),
+        ("beta_hat_init = 0", "beta_hat_init"),
     ])
     def test_invariants_name_the_key(self, line, key):
         with pytest.raises(ConfigError, match=key):

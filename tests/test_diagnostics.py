@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vtopt import fem
 from vtopt.config import RunConfig
 from vtopt.diagnostics import (LineProfile, gradient_check, line_profile, low_thickness_fraction,
                                transition_width)
@@ -194,3 +195,13 @@ class TestGradientCheck:
         fine = gradient_check(cfg, n_probe=5, fd_step=4e-4)
         assert fine < coarse
         assert coarse / fine >= 3.0   # near-quadratic decay of the central-difference error
+
+    def test_detects_a_gradient_off_by_one_in_a_thousand(self, monkeypatch):
+        cfg = RunConfig(nx=8, ny=4, h=0.25, seed=6)
+        exact = fem.modulus_derivative
+        monkeypatch.setattr(fem, "modulus_derivative", lambda *a, **k: 1.001 * exact(*a, **k))
+        assert gradient_check(cfg, n_probe=8, fd_step=1e-6) == pytest.approx(1e-3, rel=0.01)
+
+    def test_full_default_grid_passes_at_the_default_step(self):
+        # the central difference must not be swamped by solver roundoff at 80x40
+        assert gradient_check(RunConfig()) < 1e-4

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from vtopt.errors import StaleStateError, StructuralError
 from vtopt.fem import (BoundaryConditions, MaterialModel, assemble_and_solve, cantilever_bc,
-                       compliance_sensitivity, element_dof_map, element_stiffness,
-                       interpolate_modulus, penalize_thin, penalize_thin_derivative)
+                       compliance_sensitivity, dissection_order, element_dof_map,
+                       element_stiffness, free_stiffness_pattern, interpolate_modulus,
+                       penalize_thin, penalize_thin_derivative)
 from vtopt.grid import ElementField, build_grid
 
 
@@ -41,6 +43,17 @@ def dense_solve(grid, bc, E_per_element, nu):
     u = np.zeros(n)
     u[free] = np.linalg.solve(K[np.ix_(free, free)], f[free])
     return u, float(f @ u)
+
+
+def coo_free_stiffness(grid, bc, E, k0):
+    """K_ff in natural dof order by COO summation, independent of the cached pattern."""
+    edof = element_dof_map(grid)
+    n = 2 * grid.n_nodes
+    K = coo_matrix(((E[:, None, None] * k0).ravel(),
+                    (np.repeat(edof, 8, axis=1).ravel(), np.tile(edof, (1, 8)).ravel())),
+                   shape=(n, n)).tocsc()
+    free = np.setdiff1d(np.arange(n), bc.fixed_dofs())
+    return K[free][:, free]
 
 
 class TestPenalizeThin:
@@ -143,6 +156,61 @@ class TestBoundaryConditions:
         field = ElementField(np.full(grid.n_elements, 1.0), "physical")
         with pytest.raises(StructuralError):
             assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
+
+    def test_three_fixed_dofs_leaving_a_rotation_is_a_structural_error(self):
+        grid = build_grid(3, 2, 1.0)
+        # lower-left node pinned, its right neighbour held in x only: rotation about the pin remains
+        bc = BoundaryConditions(fixed=[(0, 0), (0, 1), (1, 0)],
+                                loads=[(grid.node_index(3, 2), 1, -1.0)])
+        field = ElementField(np.full(grid.n_elements, 1.0), "physical")
+        with pytest.raises(StructuralError):
+            assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
+
+
+GRIDS_AND_EDGES = [((1, 1), "left"), ((3, 2), "bottom"), ((8, 4), "left"), ((7, 12), "top"),
+                   ((33, 5), "right")]
+
+
+class TestFreeStiffnessPattern:
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (8, 4), (7, 12), (33, 5)])
+    def test_dissection_order_is_a_permutation_of_the_nodes(self, size):
+        nx, ny = size
+        order = dissection_order(nx, ny)
+        assert np.array_equal(np.sort(order), np.arange((nx + 1) * (ny + 1)))
+
+    @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
+    def test_order_is_a_permutation_of_exactly_the_free_dofs(self, size, edge):
+        grid = build_grid(*size, 0.5)
+        bc = cantilever_bc(grid, clamp_edge=edge)
+        free = free_stiffness_pattern(grid, bc).free
+        expected = np.setdiff1d(np.arange(2 * grid.n_nodes), bc.fixed_dofs())
+        assert free.size == expected.size
+        assert np.array_equal(np.sort(free), expected)
+
+    @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
+    def test_matches_coo_assembly_entry_for_entry(self, size, edge):
+        grid = build_grid(*size, 0.5)
+        bc = cantilever_bc(grid, clamp_edge=edge)
+        E = np.random.default_rng(sum(size)).uniform(1e-3, 1.0, grid.n_elements)
+        pattern = free_stiffness_pattern(grid, bc)
+        k0 = element_stiffness(0.3)
+        # undo the permutation: row/column k of K is global dof pattern.free[k]
+        undo = np.argsort(pattern.free)
+        K = pattern.stiffness(E, k0)[undo][:, undo].toarray()
+        reference = coo_free_stiffness(grid, bc, E, k0).toarray()
+        # an entry sums up to four element contributions, here in another order;
+        # the difference is bounded by roundoff of the sum of their magnitudes
+        magnitude = coo_free_stiffness(grid, bc, E, np.abs(k0)).toarray()
+        assert np.array_equal(K != 0.0, reference != 0.0)
+        assert (np.abs(K - reference) <= 1e-15 * magnitude).all()
+
+    def test_pattern_is_cached_per_grid_size_and_fixed_dofs(self):
+        grid = build_grid(8, 4, 0.25)
+        same_size = build_grid(8, 4, 1.0)
+        assert free_stiffness_pattern(grid, cantilever_bc(grid)) is \
+            free_stiffness_pattern(same_size, cantilever_bc(same_size))
+        assert free_stiffness_pattern(grid, cantilever_bc(grid)) is not \
+            free_stiffness_pattern(grid, cantilever_bc(grid, clamp_edge="right"))
 
 
 class TestAssembleAndSolve:
