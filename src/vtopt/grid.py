@@ -148,14 +148,27 @@ class StructuredGrid:
             self._neighbor_cache[key] = table
         return table
 
-    def _build_neighbor_table(self, r: float) -> NeighborTable:
-        r_eff = max(r, MIN_NEIGHBORHOOD_FACTOR * self.h)
+    def neighbor_spans(self, r: float) -> tuple[int, ...]:
+        """Row half-widths of the radius-max(r, 1.5h) stencil, for row offsets -m..m.
+
+        Element (i + di, j + dj) is a neighbor of (i, j) exactly when
+        |di| <= spans[dj + m]; the stencil is the disk of neighbor_table.
+        """
+        if r < 0:
+            raise ValueError(f"neighborhood radius must be nonnegative, got {r}")
+        r_eff = max(float(r), MIN_NEIGHBORHOOD_FACTOR * self.h)
         ratio2 = (r_eff / self.h) ** 2 * (1.0 + 1e-12)  # tolerance keeps ties on the circle
         m = int(math.floor(math.sqrt(ratio2)))
+        return tuple(max(di for di in range(m + 1) if di * di + dj * dj <= ratio2)
+                     for dj in range(-m, m + 1))
+
+    def _build_neighbor_table(self, r: float) -> NeighborTable:
+        r_eff = max(r, MIN_NEIGHBORHOOD_FACTOR * self.h)
+        spans = self.neighbor_spans(r)
+        m = len(spans) // 2
         offsets = [(di, dj)
                    for dj in range(-m, m + 1)
-                   for di in range(-m, m + 1)
-                   if di * di + dj * dj <= ratio2]
+                   for di in range(-spans[dj + m], spans[dj + m] + 1)]
 
         ids = np.arange(self.n_elements, dtype=np.int64).reshape(self.ny, self.nx)
         src_parts, dst_parts = [], []

@@ -133,14 +133,33 @@ def neighborhood_stats(grid: StructuredGrid, rho_tilde, r: float) -> Neighborhoo
     values = rho_tilde.values if isinstance(rho_tilde, ElementField) else np.asarray(rho_tilde, dtype=float)
     if values.shape != (grid.n_elements,):
         raise ValueError(f"field shape {values.shape} does not match grid")
-    table = grid.neighbor_table(r)
-    gathered = values[table.indices]
-    starts = table.indptr[:-1]
-    rho_min = np.minimum.reduceat(gathered, starts)
-    rho_max = np.maximum.reduceat(gathered, starts)
+    spans = grid.neighbor_spans(r)
+    field = values.reshape(grid.ny, grid.nx)
+    rho_min = _stencil_reduce(field, spans, np.minimum, np.inf)
+    rho_max = _stencil_reduce(field, spans, np.maximum, -np.inf)
     diff = rho_max - rho_min
     return NeighborhoodStats(rho_min=rho_min, rho_max=rho_max, diff=diff,
                              rho_mid=rho_min + 0.5 * diff)
+
+
+def _stencil_reduce(field: np.ndarray, spans: tuple[int, ...], op, pad: float) -> np.ndarray:
+    """Reduce a (ny, nx) field with min or max over each element's stencil.
+
+    Row windows of every half-width are built incrementally on a padded copy,
+    then the stencil rows are combined; the result equals the reduction over
+    the neighbor table entry for entry, since min and max are exact.
+    """
+    ny, nx = field.shape
+    m = len(spans) // 2
+    padded = np.full((ny + 2 * m, nx + 2 * m), pad)
+    padded[m:m + ny, m:m + nx] = field
+    windows = [padded[:, m:m + nx]]
+    for w in range(1, m + 1):
+        windows.append(op(op(windows[-1], padded[:, m - w:m - w + nx]), padded[:, m + w:m + w + nx]))
+    out = windows[spans[0]][:ny].copy()
+    for k in range(1, 2 * m + 1):
+        op(out, windows[spans[k]][k:k + ny], out=out)
+    return out.ravel()
 
 
 def dgi_project(rho_tilde, stats: NeighborhoodStats, beta_hat: float):
@@ -148,8 +167,9 @@ def dgi_project(rho_tilde, stats: NeighborhoodStats, beta_hat: float):
 
     Each value is mapped within [rho_min, rho_max] of its neighborhood with
     sharpness beta_hat * diff, so flat regions (small diff) are barely touched
-    while edges (large diff) are resharpened. Degenerate neighborhoods pass
-    through unchanged.
+    while edges (large diff) are resharpened. Degenerate neighborhoods, and
+    those whose sharpness falls in the step's identity regime, pass through
+    unchanged (exactly, not via the rescaling round trip).
     """
     if beta_hat < 0:
         raise ValueError(f"beta_hat must be >= 0, got {beta_hat}")
@@ -159,7 +179,7 @@ def dgi_project(rho_tilde, stats: NeighborhoodStats, beta_hat: float):
     local = (rho - stats.rho_min) / d
     projected = stats.diff * smoothed_heaviside(local, beta_hat * stats.diff, DGI_THRESHOLD) \
         + stats.rho_min
-    return np.where(degenerate, rho, projected)
+    return np.where(degenerate | (beta_hat * stats.diff < SMALL_BETA), rho, projected)
 
 
 def dgi_derivative(rho_tilde, stats: NeighborhoodStats, beta_hat: float):

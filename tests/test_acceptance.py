@@ -1,12 +1,17 @@
 """Acceptance gate: one printed pass/fail line per criterion.
 
 Quantitative criteria (1-6) run the 20x10 cantilever benchmark on the 160x80
-grid and share converged runs through a session-scoped cache; the full set
-takes tens of minutes. Property criteria (7-12) are fast and exact.
+grid and share converged runs through a session-scoped fixture, which starts
+all fifteen runs on a pool of up to two worker processes the first time a
+criterion asks for one; the full set takes several minutes. Property criteria
+(7-12) are fast and exact.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
 import itertools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -47,17 +52,28 @@ def matrix_case(r, beta):
     return f"m_r{r:g}_" + ("off" if beta is None else f"b{beta:g}")
 
 
+# runs are independent and deterministic, so they are computed side by side
+WORKERS = max(1, min(2, len(os.sched_getaffinity(0))))
+
+
 @pytest.fixture(scope="session")
 def runs():
-    cache: dict = {}
+    """Converged run of a case by name.
 
-    def get(name: str) -> vtopt.RunResult:
-        if name not in cache:
-            cfg = vtopt.RunConfig(**GRID, **CASES[name])
-            cache[name] = vtopt.run_optimization(vtopt.build_problem(cfg))
-        return cache[name]
-
-    return get
+    Every case is submitted at once; CASES lists them in the order the
+    criteria read them. Each worker runs one BLAS thread, so the workers do not
+    compete for the cores. Runs not yet started when the session ends are
+    cancelled.
+    """
+    with pytest.MonkeyPatch.context() as patch, ProcessPoolExecutor(
+            WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        patch.setenv("OPENBLAS_NUM_THREADS", "1")   # read by each worker as it starts
+        pending = {name: pool.submit(vtopt.run_optimization,
+                                     vtopt.build_problem(vtopt.RunConfig(**GRID, **overrides)))
+                   for name, overrides in CASES.items()}
+        patch.undo()
+        yield lambda name: pending[name].result()
+        pool.shutdown(cancel_futures=True)
 
 
 def criterion(num: int, ok: bool, detail: str):

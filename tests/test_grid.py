@@ -107,6 +107,16 @@ class TestNeighborhood:
         for e in range(g.n_elements):
             assert neighborhood(g, e, r) == brute_force_neighborhood(g, e, r)
 
+    @pytest.mark.parametrize("r", [0.0, 0.375, 0.6, 1.5])
+    def test_spans_describe_the_table(self, r):
+        g = build_grid(16, 16, 0.25)
+        spans = g.neighbor_spans(r)
+        m = len(spans) // 2
+        assert len(spans) == 2 * m + 1 and spans[m] == m and spans == spans[::-1]
+        stencil = {g.element_index(8 + di, 8 + dj)
+                   for dj in range(-m, m + 1) for di in range(-spans[dj + m], spans[dj + m] + 1)}
+        assert stencil == brute_force_neighborhood(g, g.element_index(8, 8), r)
+
     def test_table_cached(self):
         g = build_grid(4, 4, 1.0)
         assert g.neighbor_table(1.5) is g.neighbor_table(1.5)

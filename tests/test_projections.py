@@ -172,6 +172,18 @@ class TestNeighborhoodStats:
                 assert stats.rho_min[e] == field[members].min()
                 assert stats.rho_max[e] == field[members].max()
 
+    @pytest.mark.parametrize("nx, ny, h", [(160, 80, 0.125), (9, 1, 0.3), (1, 7, 0.5), (5, 3, 0.1)])
+    def test_matches_neighbor_table_reduction(self, nx, ny, h):
+        grid = build_grid(nx, ny, h)
+        rng = np.random.default_rng(12)
+        for r in (0.0, 0.25, 0.375, 0.5, 1.5):
+            field = rng.uniform(0, 1, grid.n_elements)
+            stats = neighborhood_stats(grid, field, r)
+            table = grid.neighbor_table(r)
+            gathered, starts = field[table.indices], table.indptr[:-1]
+            assert np.array_equal(stats.rho_min, np.minimum.reduceat(gathered, starts))
+            assert np.array_equal(stats.rho_max, np.maximum.reduceat(gathered, starts))
+
     def test_bounds_include_own_value(self):
         grid = build_grid(7, 3, 0.5)
         rng = np.random.default_rng(11)
@@ -288,6 +300,15 @@ class TestRegularizeChain:
         chain = regularize_chain(self.grid, self.raw, params, self.filt)
         assert np.array_equal(chain.rho_physical.values, chain.rho_tilde.values)
         assert np.array_equal(chain.rho_hat.values, chain.rho_tilde.values)
+
+    def test_zero_sharpness_is_an_exact_identity(self):
+        # the rescaling round trip min + diff * ((rho - min) / diff) is not exact
+        # in floating point, so the identity regime must bypass it
+        for seed in range(50):
+            raw = np.random.default_rng(seed).uniform(0.05, 0.95, self.grid.n_elements)
+            tilde = self.filt.apply(raw)
+            stats = neighborhood_stats(self.grid, tilde, 0.375)
+            assert np.array_equal(dgi_project(tilde, stats, 0.0), tilde)
 
     def test_disabled_maps_reproduce_filtered_field(self):
         params = ProjectionParams(rho_low=0.1, beta_bar=25.0, beta_hat=10.0, radius=0.375)
