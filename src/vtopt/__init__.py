@@ -7,30 +7,15 @@ projection that deblurs structural edges after filtering.
 """
 
 from .config import RunConfig, parse_config
-from .diagnostics import gradient_check, line_profile, low_thickness_fraction, transition_width
-from .fem import BoundaryConditions, MaterialModel, assemble_and_solve, compliance_sensitivity
-from .grid import ElementField, StructuredGrid, build_grid, neighborhood
-from .optimizer import (ContinuationSchedule, ContinuationState, IterationRecord,
-                        OptimizerConfig, RunResult, delta_rho_mean, gocm_update,
-                        run_optimization, update_continuation)
-from .pde_filter import DensityFilter, build_filter
+from .diagnostics import gradient_check
+from .optimizer import ContinuationState, RunResult, evaluate, forward, run_optimization
 from .problem import ProblemSetup, build_problem
-from .projections import (NeighborhoodStats, ProjectionParams, chain_gradient, dgi_derivative,
-                          dgi_project, lt_project, lt_project_derivative, neighborhood_stats,
-                          regularize_chain, smoothed_heaviside, switching_weight)
 from .runner import run_ablation_suite, run_single
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryConditions", "ContinuationSchedule", "ContinuationState", "DensityFilter",
-    "ElementField", "IterationRecord", "MaterialModel", "NeighborhoodStats",
-    "OptimizerConfig", "ProblemSetup", "ProjectionParams", "RunConfig", "RunResult",
-    "StructuredGrid", "assemble_and_solve", "build_filter", "build_grid", "build_problem",
-    "chain_gradient", "compliance_sensitivity", "delta_rho_mean", "dgi_derivative",
-    "dgi_project", "gocm_update", "gradient_check", "line_profile",
-    "low_thickness_fraction", "lt_project", "lt_project_derivative", "neighborhood",
-    "neighborhood_stats", "parse_config", "regularize_chain", "run_ablation_suite",
-    "run_optimization", "run_single", "smoothed_heaviside", "switching_weight",
-    "transition_width", "update_continuation",
+    "ContinuationState", "ProblemSetup", "RunConfig", "RunResult", "build_problem", "evaluate",
+    "forward", "gradient_check", "parse_config", "run_ablation_suite", "run_optimization",
+    "run_single",
 ]

@@ -82,7 +82,11 @@ def _cmd_suite(args) -> int:
 def _cmd_gradcheck(args) -> int:
     cfg = parse_config(args.config)
     if cfg.nx > 8 or cfg.ny > 4:
-        cfg = cfg.replace(nx=min(cfg.nx, 8), ny=min(cfg.ny, 4))
+        # the load keeps its place relative to the shrunken domain; no profile is measured
+        nx, ny = min(cfg.nx, 8), min(cfg.ny, 4)
+        cfg = cfg.replace(nx=nx, ny=ny, width_profile=None,
+                          load_x=None if cfg.load_x is None else cfg.load_x * nx / cfg.nx,
+                          load_y=None if cfg.load_y is None else cfg.load_y * ny / cfg.ny)
         print(f"note: grid reduced to {cfg.nx}x{cfg.ny} for the check", file=sys.stderr)
     error = gradient_check(cfg, n_probe=args.probes, fd_step=args.fd_step)
     tol = GRADCHECK_TOL_FULL if cfg.dgi else GRADCHECK_TOL_SMOOTH

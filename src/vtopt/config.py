@@ -84,6 +84,21 @@ class RunConfig:
         _require(self.ny >= 1, "ny", "must be >= 1")
         _require(self.h > 0, "h", "must be positive")
         _require(self.clamp_edge in CLAMP_EDGES, "clamp_edge", f"must be one of {CLAMP_EDGES}")
+        width, height = self.nx * self.h, self.ny * self.h
+        _require(self.load_fx != 0 or self.load_fy != 0, "load_fx",
+                 "and load_fy are both 0, so the load vector is zero")
+        _require(self.load_x is None or 0 <= self.load_x <= width, "load_x",
+                 f"must lie in [0, nx*h] = [0, {width:g}]")
+        _require(self.load_y is None or 0 <= self.load_y <= height, "load_y",
+                 f"must lie in [0, ny*h] = [0, {height:g}]")
+        # the load sits on the node nearest (load_x, load_y), as cantilever_bc places it
+        load_x = width if self.load_x is None else self.load_x
+        load_y = height / 2.0 if self.load_y is None else self.load_y
+        li, lj = round(load_x / self.h), round(load_y / self.h)
+        clamped = {"left": li == 0, "right": li == self.nx, "bottom": lj == 0, "top": lj == self.ny}
+        _require(not clamped[self.clamp_edge], "clamp_edge",
+                 f"{self.clamp_edge} fixes the load node nearest (load_x, load_y) = "
+                 f"({load_x:g}, {load_y:g})")
         _require(self.E0 > 0, "E0", "must be positive")
         _require(0 <= self.nu < 0.5, "nu", "must be in [0, 0.5)")
         _require(0 < self.rho_min < 1, "rho_min", "must be in (0, 1)")
@@ -115,6 +130,10 @@ class RunConfig:
         if self.width_profile is not None:
             _require(len(self.width_profile) == 5 and self.width_profile[4] >= 2,
                      "width_profile", "must be 'x0 y0 x1 y1 n' with n >= 2")
+            x0, y0, x1, y1, _ = self.width_profile
+            _require(0 <= min(x0, x1) and max(x0, x1) <= width
+                     and 0 <= min(y0, y1) and max(y0, y1) <= height, "width_profile",
+                     f"endpoints must lie in [0, {width:g}] x [0, {height:g}]")
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)

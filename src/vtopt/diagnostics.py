@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fem
 from .errors import GeometryError
 from .grid import ElementField, StructuredGrid
 
@@ -112,11 +113,13 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
     roundoff. For symmetric K with K(x-h) u- = f = K(x+h) u+ it equals exactly
     u-^T (K(x-h) - K(x+h)) u+ = -sum_e (E+_e - E-_e) u-_e^T k0 u+_e, a sum
     over element moduli that carries the solver's relative error only once.
+
+    The base point goes through the optimizer's own evaluation step, so the
+    check verifies the gradient the run loop uses; a check makes
+    1 + 2 * n_probe state solves.
     """
-    from .fem import (assemble_and_solve, compliance_sensitivity, element_dof_map,
-                      element_stiffness, interpolate_modulus)
+    from .optimizer import ContinuationState, evaluate, forward
     from .problem import build_problem
-    from .projections import ProjectionParams, chain_gradient, regularize_chain
 
     setup = build_problem(cfg)
     grid = setup.grid
@@ -127,42 +130,29 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
         rho[near_kink] = rng.uniform(0.2, 0.9, int(near_kink.sum()))
         near_kink = np.abs(rho - cfg.rho_low) < 5 * fd_step
 
-    params = ProjectionParams(rho_low=cfg.rho_low,
-                              beta_bar=cfg.beta_bar_max if setup.projection != "none" else 1.0,
-                              beta_hat=cfg.beta_hat_max, radius=setup.dgi_radius)
-    k0 = element_stiffness(setup.material.nu)
-    edof = element_dof_map(grid)
+    state = ContinuationState(p=cfg.p_max, beta_hat=cfg.beta_hat_max, beta_bar=cfg.beta_bar_max)
+    base_chain, _, analytic = evaluate(setup, rho, state)
+    k0 = fem.element_stiffness(setup.material.nu)
+    edof = fem.element_dof_map(grid)
 
-    def objective(values, frozen_stats):
-        """Element moduli and state displacements at raw densities `values`."""
-        chain = regularize_chain(grid, ElementField(values, "raw"), params, setup.filter,
-                                 projection=setup.projection, dgi_enabled=setup.dgi_enabled,
-                                 frozen_stats=frozen_stats)
-        solution = assemble_and_solve(grid, setup.bc, chain.rho_physical, cfg.p_max,
-                                      cfg.rho_low, setup.material,
-                                      interpolation=setup.interpolation, solver=cfg.solver)
-        E = interpolate_modulus(chain.rho_physical.values, cfg.p_max, cfg.rho_low,
-                                setup.material, setup.interpolation)
-        return E, solution.u[edof], chain
-
-    _, _, base_chain = objective(rho, None)
-    base_solution = assemble_and_solve(grid, setup.bc, base_chain.rho_physical, cfg.p_max,
-                                       cfg.rho_low, setup.material,
-                                       interpolation=setup.interpolation, solver=cfg.solver)
-    grad_phys = compliance_sensitivity(grid, base_solution, base_chain.rho_physical, cfg.p_max,
-                                       cfg.rho_low, setup.material,
-                                       interpolation=setup.interpolation)
-    analytic = chain_gradient(base_chain, grad_phys)
+    def probe(values):
+        """Element moduli and element displacements at raw densities `values`."""
+        chain = forward(setup, values, state, frozen_stats=base_chain.stats)
+        solution = fem.assemble_and_solve(grid, setup.bc, chain.rho_physical, cfg.p_max,
+                                          cfg.rho_low, setup.material,
+                                          interpolation=setup.interpolation, solver=cfg.solver)
+        E = fem.interpolate_modulus(chain.rho_physical.values, cfg.p_max, cfg.rho_low,
+                                    setup.material, setup.interpolation)
+        return E, solution.u[edof]
 
     probes = rng.choice(grid.n_elements, size=min(n_probe, grid.n_elements), replace=False)
-    frozen = base_chain.stats
     worst = 0.0
     for e in probes:
         bumped = rho.copy()
         bumped[e] = rho[e] + fd_step
-        E_plus, u_plus, _ = objective(bumped, frozen)
+        E_plus, u_plus = probe(bumped)
         bumped[e] = rho[e] - fd_step
-        E_minus, u_minus, _ = objective(bumped, frozen)
+        E_minus, u_minus = probe(bumped)
         energies = np.einsum("ij,jk,ik->i", u_minus, k0, u_plus)
         fd = -float(np.sum((E_plus - E_minus) * energies)) / (2.0 * fd_step)
         denom = max(abs(fd), abs(analytic[e]), 1e-300)

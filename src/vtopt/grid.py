@@ -24,6 +24,8 @@ class ElementField:
 
     Values are stored read-only; every construction gets a fresh revision
     number so downstream caches can detect inputs that were swapped out.
+    Unpickling constructs anew, so a copy is read-only with a revision of its
+    own process's counter.
     """
 
     __slots__ = ("values", "stage", "revision")
@@ -41,6 +43,9 @@ class ElementField:
         self.stage = stage
         self.revision = next(_field_serial)
 
+    def __reduce__(self):
+        return ElementField, (self.values, self.stage)
+
     def __len__(self):
         return self.values.size
 
@@ -52,8 +57,6 @@ class ElementField:
 class NeighborTable:
     """CSR-style adjacency: elements of neighborhood e are indices[indptr[e]:indptr[e+1]]."""
 
-    radius: float
-    effective_radius: float
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -163,7 +166,6 @@ class StructuredGrid:
                      for dj in range(-m, m + 1))
 
     def _build_neighbor_table(self, r: float) -> NeighborTable:
-        r_eff = max(r, MIN_NEIGHBORHOOD_FACTOR * self.h)
         spans = self.neighbor_spans(r)
         m = len(spans) // 2
         offsets = [(di, dj)
@@ -185,11 +187,7 @@ class StructuredGrid:
         src, dst = src[order], dst[order]
         counts = np.bincount(src, minlength=self.n_elements)
         indptr = np.concatenate([[0], np.cumsum(counts)])
-        return NeighborTable(radius=r, effective_radius=r_eff, indptr=indptr, indices=dst)
-
-
-def build_grid(nx: int, ny: int, h: float, origin: tuple[float, float] = (0.0, 0.0)) -> StructuredGrid:
-    return StructuredGrid(nx=nx, ny=ny, h=h, origin=origin)
+        return NeighborTable(indptr=indptr, indices=dst)
 
 
 def neighborhood(grid: StructuredGrid, e: int, r: float) -> set[int]:

@@ -17,9 +17,10 @@ import numpy as np
 
 from .diagnostics import low_thickness_fraction
 from .errors import NumericalError
-from .fem import assemble_and_solve, compliance_sensitivity
+from .fem import StateSolution, assemble_and_solve, compliance_sensitivity
 from .grid import ElementField
-from .projections import ProjectionParams, RegularizedChain, chain_gradient, regularize_chain
+from .projections import (NeighborhoodStats, ProjectionParams, RegularizedChain, chain_gradient,
+                          regularize_chain)
 
 if TYPE_CHECKING:
     from .problem import ProblemSetup
@@ -99,25 +100,6 @@ def update_continuation(sched: ContinuationSchedule, state: ContinuationState) -
     if state.beta_bar_active and state.beta_bar < sched.beta_bar_max:
         changes["beta_bar"] = min(sched.c_beta_bar * state.beta_bar, sched.beta_bar_max)
     return replace(state, **changes) if changes else state
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    step_init: float = 0.05
-    step_decay: float = 0.98
-    step_min: float = 1e-4
-    vol_frac_target: float = 0.3
-    rho_init: float = 0.3
-    tol_drho: float = 1e-4
-    max_iters: int = 500
-
-    def __post_init__(self):
-        if not 0 < self.step_min <= self.step_init:
-            raise ValueError("need 0 < step_min <= step_init")
-        if not 0 < self.step_decay < 1:
-            raise ValueError("step_decay must be in (0, 1)")
-        if not 0 < self.vol_frac_target <= 1:
-            raise ValueError("vol_frac_target must be in (0, 1]")
 
 
 @dataclass
@@ -238,6 +220,7 @@ class RunResult:
     compliance: float
     vol_frac: float
     lt_fraction: float
+    transition_width: float | None = None   # along cfg.width_profile, measured by run_single
 
     @property
     def fields(self) -> dict[str, ElementField]:
@@ -249,6 +232,33 @@ class RunResult:
         }
 
 
+def forward(setup: "ProblemSetup", raw: np.ndarray, state: ContinuationState,
+            frozen_stats: NeighborhoodStats | None = None) -> RegularizedChain:
+    """Regularization chain of raw densities at the state's projection sharpness."""
+    params = ProjectionParams(rho_low=setup.config.rho_low, beta_bar=state.beta_bar,
+                              beta_hat=state.beta_hat, radius=setup.dgi_radius)
+    return regularize_chain(setup.grid, ElementField(raw, "raw"), params, setup.filter,
+                            projection=setup.projection, dgi_enabled=setup.dgi_enabled,
+                            frozen_stats=frozen_stats)
+
+
+def evaluate(setup: "ProblemSetup", raw: np.ndarray, state: ContinuationState
+             ) -> tuple[RegularizedChain, StateSolution, np.ndarray]:
+    """Forward chain, state solve and compliance gradient w.r.t. the raw densities.
+
+    The one analysis step: the run loop, the final analysis and the gradient
+    check's base point all call it.
+    """
+    chain = forward(setup, raw, state)
+    solution = assemble_and_solve(setup.grid, setup.bc, chain.rho_physical, state.p,
+                                  setup.config.rho_low, setup.material,
+                                  interpolation=setup.interpolation, solver=setup.config.solver)
+    grad_phys = compliance_sensitivity(setup.grid, solution, chain.rho_physical, state.p,
+                                       setup.config.rho_low, setup.material,
+                                       interpolation=setup.interpolation)
+    return chain, solution, chain_gradient(chain, grad_phys)
+
+
 def run_optimization(setup: "ProblemSetup",
                      callback: Callable[[IterationRecord, RegularizedChain, np.ndarray], None] | None = None
                      ) -> RunResult:
@@ -257,7 +267,7 @@ def run_optimization(setup: "ProblemSetup",
     Convergence requires both the mean density change below tolerance and all
     active continuation parameters at their maxima.
     """
-    grid, cfg = setup.grid, setup.optimizer
+    grid, cfg = setup.grid, setup.config
     volumes = grid.element_volumes()
     sched = setup.schedule
     state = ContinuationState.initial(
@@ -273,35 +283,20 @@ def run_optimization(setup: "ProblemSetup",
     history: list[IterationRecord] = []
     converged = False
 
-    def forward(raw_values: np.ndarray, params: ProjectionParams) -> RegularizedChain:
-        return regularize_chain(grid, ElementField(raw_values, "raw"), params, setup.filter,
-                                projection=setup.projection, dgi_enabled=setup.dgi_enabled)
-
-    chain = None
     for iteration in range(1, cfg.max_iters + 1):
-        params = ProjectionParams(rho_low=setup.config.rho_low, beta_bar=state.beta_bar,
-                                  beta_hat=state.beta_hat, radius=setup.dgi_radius)
-        chain = forward(rho, params)
-        solution = assemble_and_solve(grid, setup.bc, chain.rho_physical, state.p,
-                                      setup.config.rho_low, setup.material,
-                                      interpolation=setup.interpolation,
-                                      solver=setup.config.solver)
-        grad_phys = compliance_sensitivity(grid, solution, chain.rho_physical, state.p,
-                                           setup.config.rho_low, setup.material,
-                                           interpolation=setup.interpolation)
-        dF = chain_gradient(chain, grad_phys)
+        chain, solution, dF = evaluate(setup, rho, state)
         dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
 
         vol_grad_phys = volumes / np.sum(volumes)
-        if setup.config.volume_on == "physical":
+        if cfg.volume_on == "physical":
             dG = chain_gradient(chain, vol_grad_phys)
-            physical_map = lambda raw: forward(raw, params).rho_physical.values
+            physical_map = lambda raw: forward(setup, raw, state).rho_physical.values
         else:
             dG = vol_grad_phys.copy()
             physical_map = None
         dG = np.maximum(dG, 1e-300)
 
-        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac_target, volumes,
+        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, volumes,
                                    physical_map=physical_map, lam_seed=lam)
         drho = delta_rho_mean(rho, rho_new, volumes)
 
@@ -314,8 +309,7 @@ def run_optimization(setup: "ProblemSetup",
             beta_hat=state.beta_hat,
             beta_bar=state.beta_bar,
             step=step,
-            lt_fraction=low_thickness_fraction(chain.rho_physical.values, volumes,
-                                               setup.config.rho_low),
+            lt_fraction=low_thickness_fraction(chain.rho_physical.values, volumes, cfg.rho_low),
         )
         history.append(record)
         if callback is not None:
@@ -329,13 +323,7 @@ def run_optimization(setup: "ProblemSetup",
         step = max(step * cfg.step_decay, cfg.step_min)
 
     # final analysis of the accepted design with the last active parameters
-    params = ProjectionParams(rho_low=setup.config.rho_low, beta_bar=state.beta_bar,
-                              beta_hat=state.beta_hat, radius=setup.dgi_radius)
-    chain = forward(rho, params)
-    solution = assemble_and_solve(grid, setup.bc, chain.rho_physical, state.p,
-                                  setup.config.rho_low, setup.material,
-                                  interpolation=setup.interpolation,
-                                  solver=setup.config.solver)
+    chain, solution, _ = evaluate(setup, rho, state)
     return RunResult(
         raw=ElementField(rho, "raw"),
         chain=chain,
@@ -344,6 +332,5 @@ def run_optimization(setup: "ProblemSetup",
         iterations=len(history),
         compliance=solution.compliance,
         vol_frac=float(np.sum(volumes * chain.rho_physical.values) / np.sum(volumes)),
-        lt_fraction=low_thickness_fraction(chain.rho_physical.values, volumes,
-                                           setup.config.rho_low),
+        lt_fraction=low_thickness_fraction(chain.rho_physical.values, volumes, cfg.rho_low),
     )

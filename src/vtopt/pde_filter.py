@@ -47,17 +47,14 @@ class DensityFilter:
     grid : StructuredGrid
     radius : float
         Classical filter radius; converted to the PDE length scale internally.
-    length_scale : float, optional
-        Overrides the radius conversion with an explicit PDE length parameter.
     """
 
-    def __init__(self, grid: StructuredGrid, radius: float, length_scale: float | None = None):
+    def __init__(self, grid: StructuredGrid, radius: float):
         if not radius > 0:
             raise ValueError(f"filter radius must be positive, got {radius}")
         self.grid = grid
         self.radius = float(radius)
-        self.length_scale = (self.radius * RADIUS_TO_LENGTH
-                             if length_scale is None else float(length_scale))
+        self.length_scale = self.radius * RADIUS_TO_LENGTH
         c = (self.length_scale / grid.h) ** 2
         eigenvalues = _path_eigenvalues(grid.ny)[:, None] + _path_eigenvalues(grid.nx)[None, :]
         self._inverse_eigenvalues = 1.0 / (1.0 + c * eigenvalues)
@@ -91,7 +88,3 @@ class DensityFilter:
             raise ValueError(f"field shape {values.shape} does not match grid "
                              f"with {self.grid.n_elements} elements")
         return values
-
-
-def build_filter(grid: StructuredGrid, r: float) -> DensityFilter:
-    return DensityFilter(grid, r)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .fem import BoundaryConditions, MaterialModel, cantilever_bc
 from .grid import StructuredGrid
-from .optimizer import ContinuationSchedule, OptimizerConfig
+from .optimizer import ContinuationSchedule
 from .pde_filter import DensityFilter
 
 
@@ -19,7 +19,6 @@ class ProblemSetup:
     material: MaterialModel
     filter: DensityFilter
     schedule: ContinuationSchedule
-    optimizer: OptimizerConfig
     dgi_radius: float
     interpolation: str    # "selective" or "global" modulus interpolation
     simp_ramp: bool       # whether the penalty exponent is continued
@@ -39,11 +38,6 @@ def build_problem(cfg: RunConfig) -> ProblemSetup:
         beta_bar_init=cfg.beta_bar_init, beta_bar_max=cfg.beta_bar_max, c_beta_bar=cfg.c_beta_bar,
         mode=cfg.continuation_mode,
     )
-    optimizer = OptimizerConfig(
-        step_init=cfg.step_init, step_decay=cfg.step_decay, step_min=cfg.step_min,
-        vol_frac_target=cfg.vol_frac, rho_init=cfg.rho_init,
-        tol_drho=cfg.tol_drho, max_iters=cfg.max_iters,
-    )
     if cfg.penalized_reference:
         # reference mode: standard penalized optimization with the plain
         # black-white projection instead of the thin-density treatment
@@ -59,7 +53,6 @@ def build_problem(cfg: RunConfig) -> ProblemSetup:
         material=material,
         filter=filt,
         schedule=schedule,
-        optimizer=optimizer,
         dgi_radius=cfg.filter_radius if cfg.dgi_radius is None else cfg.dgi_radius,
         interpolation="global" if cfg.penalized_reference else "selective",
         simp_ramp=cfg.lt_simp or cfg.penalized_reference,

@@ -33,7 +33,6 @@ class ProjectionParams:
     beta_bar: float = 1.0
     beta_hat: float = 0.1
     radius: float = 0.375
-    eta_hat: float = DGI_THRESHOLD
 
     def __post_init__(self):
         if not 0 < self.rho_low < 1:
@@ -44,8 +43,6 @@ class ProjectionParams:
             raise ValueError(f"beta_hat must be >= 0, got {self.beta_hat}")
         if self.radius < 0:
             raise ValueError(f"neighborhood radius must be >= 0, got {self.radius}")
-        if self.eta_hat != DGI_THRESHOLD:
-            raise ValueError(f"deblurring threshold is fixed at {DGI_THRESHOLD}")
 
 
 @dataclass
@@ -219,7 +216,6 @@ class RegularizedChain:
     stats: NeighborhoodStats | None
     d_hat_d_tilde: np.ndarray
     d_phys_d_hat: np.ndarray
-    raw_revision: int
     filter: DensityFilter
 
 
@@ -260,7 +256,6 @@ def regularize_chain(grid: StructuredGrid, rho_raw: ElementField, params: Projec
         stats=stats,
         d_hat_d_tilde=d_hat,
         d_phys_d_hat=d_phys,
-        raw_revision=rho_raw.revision,
         filter=filt,
     )
 

@@ -53,7 +53,7 @@ def run_single(cfg: RunConfig) -> RunResult:
     if cfg.width_profile is not None:
         x0, y0, x1, y1, n = cfg.width_profile
         profile = line_profile(setup.grid, result.chain.rho_physical, (x0, y0), (x1, y1), n)
-        metrics["transition_width"] = transition_width(profile)
+        result.transition_width = metrics["transition_width"] = transition_width(profile)
     write_metrics(outdir / "metrics.txt", metrics)
     return result
 
@@ -123,17 +123,11 @@ def run_ablation_suite(cfg: RunConfig, suite: str, radii=None) -> list[SuiteRow]
         beta = member_cfg.beta_hat_max if member_cfg.dgi else None
         try:
             result = run_single(member_cfg)
-            width = None
-            if member_cfg.width_profile is not None:
-                x0, y0, x1, y1, n = member_cfg.width_profile
-                profile = line_profile(build_problem(member_cfg).grid,
-                                       result.chain.rho_physical, (x0, y0), (x1, y1), n)
-                width = transition_width(profile)
             rows.append(SuiteRow(
                 variant=name, filter_radius=member_cfg.filter_radius, beta_hat_max=beta,
                 status="ok" if result.converged else "nonconverged",
                 compliance=result.compliance, normalized_compliance=None,
-                lt_fraction=result.lt_fraction, transition_width=width,
+                lt_fraction=result.lt_fraction, transition_width=result.transition_width,
                 iterations=result.iterations))
         except VtoptError as err:
             rows.append(SuiteRow(variant=name, filter_radius=member_cfg.filter_radius,

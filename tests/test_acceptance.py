@@ -19,6 +19,9 @@ import pytest
 import vtopt
 from vtopt.diagnostics import line_profile, transition_width
 from vtopt.fem import element_dof_map, element_stiffness, interpolate_modulus
+from vtopt.grid import StructuredGrid
+from vtopt.optimizer import ContinuationSchedule, update_continuation
+from vtopt.pde_filter import DensityFilter
 from vtopt.projections import (NeighborhoodStats, dgi_project, lt_project, neighborhood_stats,
                                smoothed_heaviside)
 
@@ -92,7 +95,7 @@ def edge_deblurring_widths(result: vtopt.RunResult, sharpness=(10.0, 25.0)):
     has void beside it inside the domain (marching columns rightward, top
     chord's upper edge then bottom chord's lower edge).
     """
-    grid = vtopt.StructuredGrid(**{k: GRID[k] for k in ("nx", "ny", "h")})
+    grid = StructuredGrid(**{k: GRID[k] for k in ("nx", "ny", "h")})
     tilde = result.chain.rho_tilde.values
     stats = neighborhood_stats(grid, tilde, 0.375)
     fields = [tilde] + [dgi_project(tilde, stats, b) for b in sharpness]
@@ -181,11 +184,11 @@ class TestQuantitative:
                   f"need b10 <= 0.5*none, b25 <= b10, none >= {bound:.3f}")
 
     def test_criterion_6_continuation_timing(self):
-        sched = vtopt.ContinuationSchedule(c_p=1.03)
+        sched = ContinuationSchedule(c_p=1.03)
         state = vtopt.ContinuationState.initial(sched)
         updates = 0
         while state.p < sched.p_max:
-            state = vtopt.update_continuation(sched, state)
+            state = update_continuation(sched, state)
             updates += 1
         criterion(6, updates == 38, f"penalty exponent reaches 3 after {updates} updates (want 38)")
 
@@ -245,8 +248,8 @@ class TestGradientCorrectness:
 
 class TestFilterIdentities:
     def test_criterion_9(self):
-        grid = vtopt.build_grid(14, 9, 0.25)
-        filt = vtopt.build_filter(grid, 0.375)
+        grid = StructuredGrid(14, 9, 0.25)
+        filt = DensityFilter(grid, 0.375)
         rng = np.random.default_rng(1)
         const_dev = np.abs(filt.apply(np.full(grid.n_elements, 0.42)) - 0.42).max()
         vol_dev = 0.0
@@ -290,7 +293,7 @@ class TestOptimizerFeasibility:
 class TestOracleEquivalence:
     def test_criterion_11(self):
         # neighborhood statistics against an all-pairs scan
-        grid = vtopt.build_grid(8, 8, 0.25)
+        grid = StructuredGrid(8, 8, 0.25)
         rng = np.random.default_rng(2)
         centers = grid.element_centers()
         stats_ok = True

@@ -76,6 +76,18 @@ class TestSuites:
         assert csv_text.splitlines()[0].startswith("variant,filter_radius,beta_hat_max,status")
         assert (tmp_path / "out" / "penalization_compare" / "vtto" / "history.csv").exists()
 
+    def test_rows_carry_the_width_in_metrics(self, tmp_path):
+        cfg = RunConfig(nx=10, ny=5, h=0.5, max_iters=50, output_dir=str(tmp_path / "out"),
+                        width_profile=(0.75, 1.25, 0.75, 2.49, 40))
+        rows = run_ablation_suite(cfg, "penalization_compare")
+        assert any(row.transition_width is not None for row in rows)
+        for row in rows:
+            metrics = (tmp_path / "out" / "penalization_compare" / row.variant / "metrics.txt")
+            line = next(l for l in metrics.read_text().splitlines()
+                        if l.startswith("transition_width"))
+            width = line.split(" = ")[1]
+            assert row.transition_width == (None if width == "none" else pytest.approx(float(width)))
+
     def test_lt_modes_fractions(self, tmp_path):
         cfg = RunConfig(nx=10, ny=5, h=0.5, max_iters=60, output_dir=str(tmp_path / "out"))
         rows = run_ablation_suite(cfg, "lt_modes")
@@ -122,7 +134,10 @@ class TestCliVerbs:
         assert "vol_frac" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,key", [("step_init = 1.5", "step_init"),
-                                          ("beta_hat_init = 0", "beta_hat_init")])
+                                          ("beta_hat_init = 0", "beta_hat_init"),
+                                          ("load_fy = 0", "load_fx"),
+                                          ("clamp_edge = right", "clamp_edge"),
+                                          ("load_x = 40", "load_x")])
     def test_config_rejected_before_the_run(self, tmp_path, capsys, line, key):
         cfg = write_cfg(tmp_path, FAST + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 1
@@ -142,6 +157,11 @@ class TestCliVerbs:
         out = capsys.readouterr().out
         assert code == 0
         assert "max relative gradient error" in out
+
+    def test_gradcheck_shrinks_load_and_drops_profile_with_the_grid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST + "load_x = 6\nload_y = 1\nwidth_profile = 3 0 3 3 20\n")
+        assert main(["gradcheck", str(cfg)]) == 0
+        assert "max relative gradient error" in capsys.readouterr().out
 
     def test_profile_requires_completed_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST + f"max_iters = 60\noutput_dir = {tmp_path / 'out'}\n")

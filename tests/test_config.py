@@ -68,6 +68,13 @@ class TestValidation:
         ("solver = magic", "solver"),
         ("step_init = 1.5", "step_init"),
         ("beta_hat_init = 0", "beta_hat_init"),
+        ("load_fy = 0", "load_fx"),
+        ("load_x = 40", "load_x"),
+        ("load_y = -1", "load_y"),
+        ("clamp_edge = right", "clamp_edge"),
+        ("clamp_edge = top\nload_y = 9.9", "clamp_edge"),
+        ("width_profile = 1 1 30 1 10", "width_profile"),
+        ("width_profile = 1 -0.5 1 5 10", "width_profile"),
     ])
     def test_invariants_name_the_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
@@ -94,6 +101,10 @@ class TestModes:
     def test_width_profile_parsing(self):
         cfg = parse_config_text("width_profile = 1.0 5.0 1.0 0.25 200\n")
         assert cfg.width_profile == (1.0, 5.0, 1.0, 0.25, 200)
+
+    def test_load_off_the_clamped_edge_passes(self):
+        cfg = parse_config_text("clamp_edge = bottom\nload_x = 0\nload_y = 10\n")
+        assert (cfg.load_x, cfg.load_y) == (0.0, 10.0)
 
     def test_width_profile_wrong_arity(self):
         with pytest.raises(ConfigError, match="width_profile"):

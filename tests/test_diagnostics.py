@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from vtopt import fem
+from vtopt import fem, optimizer
 from vtopt.config import RunConfig
 from vtopt.diagnostics import (LineProfile, gradient_check, line_profile, low_thickness_fraction,
                                transition_width)
 from vtopt.errors import GeometryError
-from vtopt.grid import build_grid
-from vtopt.pde_filter import build_filter
+from vtopt.grid import StructuredGrid
+from vtopt.pde_filter import DensityFilter
 from vtopt.projections import dgi_project, neighborhood_stats
 
 
@@ -40,14 +40,14 @@ class TestLowThicknessFraction:
 
 class TestLineProfile:
     def test_uniform_field(self):
-        grid = build_grid(6, 4, 0.5)
+        grid = StructuredGrid(6, 4, 0.5)
         profile = line_profile(grid, np.full(grid.n_elements, 0.7), (0.1, 0.1), (2.9, 1.9), 20)
         assert np.allclose(profile.values, 0.7)
         assert profile.arc[0] == 0.0
         assert profile.arc[-1] == pytest.approx(np.hypot(2.8, 1.8))
 
     def test_step_field(self):
-        grid = build_grid(4, 4, 1.0)
+        grid = StructuredGrid(4, 4, 1.0)
         field = np.zeros(grid.n_elements)
         for j in range(4):
             for i in range(4):
@@ -58,7 +58,7 @@ class TestLineProfile:
         assert (profile.values[profile.arc > 1.6] == 1.0).all()
 
     def test_diagonal_on_checkerboard(self):
-        grid = build_grid(4, 4, 1.0)
+        grid = StructuredGrid(4, 4, 1.0)
         field = np.array([(i + j) % 2 for j in range(4) for i in range(4)], dtype=float)
         profile = line_profile(grid, field, (0.5, 0.5), (3.5, 1.5), 4)
         # samples (0.5,0.5),(1.5,0.833),(2.5,1.167),(3.5,1.5) land in cells
@@ -66,12 +66,12 @@ class TestLineProfile:
         assert profile.values.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_rejects_outside_domain(self):
-        grid = build_grid(4, 4, 1.0)
+        grid = StructuredGrid(4, 4, 1.0)
         with pytest.raises(GeometryError):
             line_profile(grid, np.zeros(16), (0.5, 0.5), (4.5, 0.5), 5)
 
     def test_requires_two_samples(self):
-        grid = build_grid(4, 4, 1.0)
+        grid = StructuredGrid(4, 4, 1.0)
         with pytest.raises(ValueError):
             line_profile(grid, np.zeros(16), (0.5, 0.5), (1.5, 0.5), 1)
 
@@ -129,8 +129,8 @@ class TestTransitionWidth:
 
 class TestWidthShrinksWithDeblurring:
     def test_synthetic_blurred_step(self):
-        grid = build_grid(60, 20, 0.125)
-        filt = build_filter(grid, 0.375)
+        grid = StructuredGrid(60, 20, 0.125)
+        filt = DensityFilter(grid, 0.375)
         raw = np.zeros(grid.n_elements)
         for j in range(20):
             for i in range(60):
@@ -155,8 +155,8 @@ class TestWidthShrinksWithDeblurring:
         assert w_10 < w_none   # deblurring visibly sharpens the edge
 
     def test_width_nonincreasing_in_sharpness(self):
-        grid = build_grid(40, 10, 0.25)
-        filt = build_filter(grid, 0.75)
+        grid = StructuredGrid(40, 10, 0.25)
+        filt = DensityFilter(grid, 0.75)
         raw = np.zeros(grid.n_elements)
         for j in range(10):
             for i in range(40):
@@ -201,6 +201,25 @@ class TestGradientCheck:
         exact = fem.modulus_derivative
         monkeypatch.setattr(fem, "modulus_derivative", lambda *a, **k: 1.001 * exact(*a, **k))
         assert gradient_check(cfg, n_probe=8, fd_step=1e-6) == pytest.approx(1e-3, rel=0.01)
+
+    def test_base_point_is_the_optimizers_evaluation(self, monkeypatch):
+        exact = optimizer.evaluate
+
+        def scaled(*args):
+            chain, solution, gradient = exact(*args)
+            return chain, solution, 1.001 * gradient
+
+        monkeypatch.setattr(optimizer, "evaluate", scaled)
+        cfg = RunConfig(nx=8, ny=4, h=0.25, seed=6)
+        assert gradient_check(cfg, n_probe=8, fd_step=1e-6) == pytest.approx(1e-3, rel=0.01)
+
+    @pytest.mark.parametrize("n_probe", [1, 5])
+    def test_factors_the_base_point_once(self, monkeypatch, n_probe):
+        factored = []
+        splu = fem.splu
+        monkeypatch.setattr(fem, "splu", lambda *a, **k: factored.append(1) or splu(*a, **k))
+        gradient_check(RunConfig(nx=8, ny=4, h=0.25, seed=6), n_probe=n_probe)
+        assert len(factored) == 1 + 2 * n_probe
 
     def test_full_default_grid_passes_at_the_default_step(self):
         # the central difference must not be swamped by solver roundoff at 80x40

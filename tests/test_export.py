@@ -4,7 +4,7 @@ import pytest
 from vtopt.export import (HISTORY_HEADER, field_to_text, read_field_text, read_history,
                           write_field_pgm, write_field_text, write_history, write_metrics,
                           write_vtk)
-from vtopt.grid import build_grid
+from vtopt.grid import StructuredGrid
 from vtopt.optimizer import IterationRecord
 
 
@@ -36,7 +36,7 @@ class TestHistory:
 
 class TestFieldText:
     def test_roundtrip_full_printed_precision(self, tmp_path):
-        grid = build_grid(6, 4, 0.5)
+        grid = StructuredGrid(6, 4, 0.5)
         rng = np.random.default_rng(0)
         values = rng.uniform(0, 1, grid.n_elements)
         path = tmp_path / "field.txt"
@@ -48,7 +48,7 @@ class TestFieldText:
         assert np.abs(back.ravel() - values).max() < 1e-9
 
     def test_row_order_is_element_order(self, tmp_path):
-        grid = build_grid(3, 2, 1.0)
+        grid = StructuredGrid(3, 2, 1.0)
         values = np.arange(6) / 10.0
         path = tmp_path / "field.txt"
         write_field_text(path, grid, values)
@@ -59,7 +59,7 @@ class TestFieldText:
 
 class TestPgm:
     def test_all_solid_is_255(self, tmp_path):
-        grid = build_grid(5, 3, 1.0)
+        grid = StructuredGrid(5, 3, 1.0)
         path = tmp_path / "f.pgm"
         write_field_pgm(path, grid, np.ones(grid.n_elements))
         lines = path.read_text().split()
@@ -70,7 +70,7 @@ class TestPgm:
         assert len(lines[4:]) == 15
 
     def test_rounding_half_up(self, tmp_path):
-        grid = build_grid(2, 1, 1.0)
+        grid = StructuredGrid(2, 1, 1.0)
         path = tmp_path / "f.pgm"
         # 0.5/255 boundary: 1/510 maps to gray 0.5 -> rounds up to 1
         write_field_pgm(path, grid, np.array([1.0 / 510.0, 0.0]))
@@ -78,7 +78,7 @@ class TestPgm:
         assert values == ["1", "0"]
 
     def test_top_row_first(self, tmp_path):
-        grid = build_grid(2, 2, 1.0)
+        grid = StructuredGrid(2, 2, 1.0)
         values = np.array([0.0, 0.0, 1.0, 1.0])   # bottom row void, top row solid
         path = tmp_path / "f.pgm"
         write_field_pgm(path, grid, values)
@@ -88,7 +88,7 @@ class TestPgm:
 
 class TestVtk:
     def test_structured_points_layout(self, tmp_path):
-        grid = build_grid(4, 2, 0.25)
+        grid = StructuredGrid(4, 2, 0.25)
         path = tmp_path / "design.vtk"
         values = np.linspace(0, 1, grid.n_elements)
         write_vtk(path, grid, values)
@@ -104,7 +104,7 @@ class TestVtk:
         assert data == pytest.approx(values.tolist())
 
     def test_spacing_and_origin(self, tmp_path):
-        grid = build_grid(3, 3, 0.5)
+        grid = StructuredGrid(3, 3, 0.5)
         path = tmp_path / "d.vtk"
         write_vtk(path, grid, np.zeros(9))
         text = path.read_text()

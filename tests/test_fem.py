@@ -7,7 +7,7 @@ from vtopt.fem import (BoundaryConditions, MaterialModel, assemble_and_solve, ca
                        compliance_sensitivity, dissection_order, element_dof_map,
                        element_stiffness, free_stiffness_pattern, interpolate_modulus,
                        penalize_thin, penalize_thin_derivative)
-from vtopt.grid import ElementField, build_grid
+from vtopt.grid import ElementField, StructuredGrid
 
 
 def sympy_element_stiffness(nu):
@@ -149,7 +149,7 @@ class TestBoundaryConditions:
             BoundaryConditions(fixed=[(0, 0), (0, 1), (1, 1)], loads=[(3, 1, 0.0)])
 
     def test_singular_system_is_a_structural_error(self):
-        grid = build_grid(3, 2, 1.0)
+        grid = StructuredGrid(3, 2, 1.0)
         # only x-direction dofs fixed: rigid vertical translation remains
         bc = BoundaryConditions(fixed=[(grid.node_index(0, j), 0) for j in range(3)],
                                 loads=[(grid.node_index(3, 1), 1, -1.0)])
@@ -158,7 +158,7 @@ class TestBoundaryConditions:
             assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
 
     def test_three_fixed_dofs_leaving_a_rotation_is_a_structural_error(self):
-        grid = build_grid(3, 2, 1.0)
+        grid = StructuredGrid(3, 2, 1.0)
         # lower-left node pinned, its right neighbour held in x only: rotation about the pin remains
         bc = BoundaryConditions(fixed=[(0, 0), (0, 1), (1, 0)],
                                 loads=[(grid.node_index(3, 2), 1, -1.0)])
@@ -180,7 +180,7 @@ class TestFreeStiffnessPattern:
 
     @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
     def test_order_is_a_permutation_of_exactly_the_free_dofs(self, size, edge):
-        grid = build_grid(*size, 0.5)
+        grid = StructuredGrid(*size, 0.5)
         bc = cantilever_bc(grid, clamp_edge=edge)
         free = free_stiffness_pattern(grid, bc).free
         expected = np.setdiff1d(np.arange(2 * grid.n_nodes), bc.fixed_dofs())
@@ -189,7 +189,7 @@ class TestFreeStiffnessPattern:
 
     @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
     def test_matches_coo_assembly_entry_for_entry(self, size, edge):
-        grid = build_grid(*size, 0.5)
+        grid = StructuredGrid(*size, 0.5)
         bc = cantilever_bc(grid, clamp_edge=edge)
         E = np.random.default_rng(sum(size)).uniform(1e-3, 1.0, grid.n_elements)
         pattern = free_stiffness_pattern(grid, bc)
@@ -205,8 +205,8 @@ class TestFreeStiffnessPattern:
         assert (np.abs(K - reference) <= 1e-15 * magnitude).all()
 
     def test_pattern_is_cached_per_grid_size_and_fixed_dofs(self):
-        grid = build_grid(8, 4, 0.25)
-        same_size = build_grid(8, 4, 1.0)
+        grid = StructuredGrid(8, 4, 0.25)
+        same_size = StructuredGrid(8, 4, 1.0)
         assert free_stiffness_pattern(grid, cantilever_bc(grid)) is \
             free_stiffness_pattern(same_size, cantilever_bc(same_size))
         assert free_stiffness_pattern(grid, cantilever_bc(grid)) is not \
@@ -215,7 +215,7 @@ class TestFreeStiffnessPattern:
 
 class TestAssembleAndSolve:
     def test_single_element_matches_dense_oracle(self):
-        grid = build_grid(1, 1, 1.0)
+        grid = StructuredGrid(1, 1, 1.0)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         field = ElementField([1.0], "physical")
@@ -225,7 +225,7 @@ class TestAssembleAndSolve:
         assert sol.residual <= 1e-10
 
     def test_matches_dense_oracle_random_field(self):
-        grid = build_grid(4, 3, 0.5)
+        grid = StructuredGrid(4, 3, 0.5)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         rng = np.random.default_rng(7)
@@ -235,7 +235,7 @@ class TestAssembleAndSolve:
         assert sol.compliance == pytest.approx(expected, rel=1e-10)
 
     def test_doubling_modulus_halves_compliance(self):
-        grid = build_grid(3, 2, 1.0)
+        grid = StructuredGrid(3, 2, 1.0)
         bc = cantilever_bc(grid)
         field = ElementField(np.full(grid.n_elements, 1.0), "physical")
         c1 = assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel(E0=1.0)).compliance
@@ -243,14 +243,14 @@ class TestAssembleAndSolve:
         assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
 
     def test_compliance_positive(self):
-        grid = build_grid(5, 2, 0.5)
+        grid = StructuredGrid(5, 2, 0.5)
         bc = cantilever_bc(grid)
         field = ElementField(np.full(grid.n_elements, 0.4), "physical")
         sol = assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
         assert sol.compliance > 0
 
     def test_cg_agrees_with_direct(self):
-        grid = build_grid(4, 2, 0.5)
+        grid = StructuredGrid(4, 2, 0.5)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         field = ElementField(np.full(grid.n_elements, 0.6), "physical")
@@ -261,7 +261,7 @@ class TestAssembleAndSolve:
 
 class TestComplianceSensitivity:
     def test_matches_finite_differences_2x1(self):
-        grid = build_grid(2, 1, 1.0)
+        grid = StructuredGrid(2, 1, 1.0)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         rho = np.array([0.7, 0.4])
@@ -279,7 +279,7 @@ class TestComplianceSensitivity:
             assert grad[e] == pytest.approx(fd, rel=1e-6)
 
     def test_full_gradient_matches_fd_on_4x2(self):
-        grid = build_grid(4, 2, 0.5)
+        grid = StructuredGrid(4, 2, 0.5)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         rng = np.random.default_rng(11)
@@ -298,7 +298,7 @@ class TestComplianceSensitivity:
             assert abs(grad[e] - fd) / max(abs(fd), 1e-300) < 1e-5
 
     def test_nonpositive_everywhere(self):
-        grid = build_grid(6, 3, 0.5)
+        grid = StructuredGrid(6, 3, 0.5)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         rng = np.random.default_rng(5)
@@ -308,7 +308,7 @@ class TestComplianceSensitivity:
         assert (grad <= 0).all()
 
     def test_increasing_density_never_increases_compliance(self):
-        grid = build_grid(3, 2, 1.0)
+        grid = StructuredGrid(3, 2, 1.0)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         rng = np.random.default_rng(2)
@@ -321,7 +321,7 @@ class TestComplianceSensitivity:
             assert c <= base + 1e-12
 
     def test_stale_field_detected(self):
-        grid = build_grid(2, 2, 1.0)
+        grid = StructuredGrid(2, 2, 1.0)
         bc = cantilever_bc(grid)
         mat = MaterialModel()
         field = ElementField(np.full(4, 0.5), "physical")

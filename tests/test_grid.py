@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from vtopt.errors import ConfigError
-from vtopt.grid import ElementField, StructuredGrid, build_grid, neighborhood
+from vtopt.grid import ElementField, StructuredGrid, neighborhood
 
 
 def brute_force_neighborhood(grid, e, r):
@@ -15,19 +17,19 @@ def brute_force_neighborhood(grid, e, r):
 
 class TestBuildGrid:
     def test_single_cell(self):
-        g = build_grid(1, 1, 1.0)
+        g = StructuredGrid(1, 1, 1.0)
         assert g.n_elements == 1
         assert g.n_nodes == 4
         assert np.allclose(g.element_centers()[0], (0.5, 0.5))
 
     def test_benchmark_grid(self):
-        g = build_grid(80, 40, 0.25)
+        g = StructuredGrid(80, 40, 0.25)
         assert g.n_elements == 3200
         assert g.width == 20.0
         assert g.height == 10.0
 
     def test_hand_counts(self):
-        g = build_grid(3, 2, 0.5)
+        g = StructuredGrid(3, 2, 0.5)
         assert g.n_elements == 6
         assert g.n_nodes == 12
         assert g.element_volume * g.n_elements == pytest.approx(1.5)
@@ -35,10 +37,10 @@ class TestBuildGrid:
     @pytest.mark.parametrize("nx,ny,h", [(0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, -1.0)])
     def test_rejects_bad_dimensions(self, nx, ny, h):
         with pytest.raises(ConfigError):
-            build_grid(nx, ny, h)
+            StructuredGrid(nx, ny, h)
 
     def test_indexing_roundtrip(self):
-        g = build_grid(5, 3, 0.5)
+        g = StructuredGrid(5, 3, 0.5)
         assert g.element_index(2, 1) == 1 * 5 + 2
         assert g.node_index(5, 3) == g.n_nodes - 1
         centers = g.element_centers()
@@ -46,14 +48,14 @@ class TestBuildGrid:
         assert centers[e] == pytest.approx([4.5 * 0.5, 2.5 * 0.5])
 
     def test_element_at_clamps_boundary(self):
-        g = build_grid(4, 4, 1.0)
+        g = StructuredGrid(4, 4, 1.0)
         assert g.element_at(4.0, 4.0) == g.element_index(3, 3)
         assert g.element_at(0.0, 0.0) == 0
 
 
 class TestNeighborhood:
     def test_interior_default_radius_is_full_block(self):
-        g = build_grid(5, 5, 1.0)
+        g = StructuredGrid(5, 5, 1.0)
         e = g.element_index(2, 2)
         nbrs = neighborhood(g, e, 1.5)
         assert len(nbrs) == 9
@@ -61,40 +63,40 @@ class TestNeighborhood:
         assert nbrs == expected
 
     def test_zero_radius_uses_floor(self):
-        g = build_grid(5, 5, 1.0)
+        g = StructuredGrid(5, 5, 1.0)
         e = g.element_index(2, 2)
         nbrs = neighborhood(g, e, 0.0)
         assert nbrs != {e}
         assert len(nbrs) == 9
 
     def test_corner_of_2x2(self):
-        g = build_grid(2, 2, 1.0)
+        g = StructuredGrid(2, 2, 1.0)
         assert neighborhood(g, 0, 1.5) == {0, 1, 2, 3}
 
     def test_contains_self_always(self):
-        g = build_grid(6, 4, 0.5)
+        g = StructuredGrid(6, 4, 0.5)
         for e in range(g.n_elements):
             assert e in neighborhood(g, e, 0.9)
 
     def test_invalid_element(self):
-        g = build_grid(3, 3, 1.0)
+        g = StructuredGrid(3, 3, 1.0)
         with pytest.raises(IndexError):
             neighborhood(g, 9, 1.0)
 
     def test_negative_radius(self):
-        g = build_grid(3, 3, 1.0)
+        g = StructuredGrid(3, 3, 1.0)
         with pytest.raises(ValueError):
             g.neighbor_table(-0.1)
 
     def test_symmetry(self):
-        g = build_grid(7, 5, 0.25)
+        g = StructuredGrid(7, 5, 0.25)
         for r in (0.3, 0.55, 1.0):
             for e in range(g.n_elements):
                 for other in neighborhood(g, e, r):
                     assert e in neighborhood(g, other, r)
 
     def test_monotonicity_in_radius(self):
-        g = build_grid(6, 6, 1.0)
+        g = StructuredGrid(6, 6, 1.0)
         radii = [0.0, 1.0, 1.7, 2.5, 3.1]
         for e in range(g.n_elements):
             sets = [neighborhood(g, e, r) for r in radii]
@@ -103,13 +105,13 @@ class TestNeighborhood:
 
     @pytest.mark.parametrize("nx,ny,r", [(4, 4, 1.2), (10, 10, 2.3), (10, 7, 3.0), (8, 3, 1.5)])
     def test_matches_brute_force(self, nx, ny, r):
-        g = build_grid(nx, ny, 1.0)
+        g = StructuredGrid(nx, ny, 1.0)
         for e in range(g.n_elements):
             assert neighborhood(g, e, r) == brute_force_neighborhood(g, e, r)
 
     @pytest.mark.parametrize("r", [0.0, 0.375, 0.6, 1.5])
     def test_spans_describe_the_table(self, r):
-        g = build_grid(16, 16, 0.25)
+        g = StructuredGrid(16, 16, 0.25)
         spans = g.neighbor_spans(r)
         m = len(spans) // 2
         assert len(spans) == 2 * m + 1 and spans[m] == m and spans == spans[::-1]
@@ -118,7 +120,7 @@ class TestNeighborhood:
         assert stencil == brute_force_neighborhood(g, g.element_index(8, 8), r)
 
     def test_table_cached(self):
-        g = build_grid(4, 4, 1.0)
+        g = StructuredGrid(4, 4, 1.0)
         assert g.neighbor_table(1.5) is g.neighbor_table(1.5)
 
 
@@ -146,3 +148,11 @@ class TestElementField:
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):
             ElementField([0.5], "blurred")
+
+    def test_pickle_round_trip_is_read_only_with_a_fresh_revision(self):
+        f = ElementField([0.2, 0.3], "dgi")
+        back = pickle.loads(pickle.dumps(f))
+        assert back.stage == "dgi"
+        np.testing.assert_array_equal(back.values, f.values)
+        assert not back.values.flags.writeable
+        assert back.revision != f.revision

@@ -5,9 +5,9 @@ import pytest
 
 from vtopt.config import RunConfig
 from vtopt.fem import MaterialModel, cantilever_bc, element_dof_map, element_stiffness, interpolate_modulus
-from vtopt.grid import build_grid
-from vtopt.optimizer import (ContinuationSchedule, ContinuationState, OptimizerConfig,
-                             delta_rho_mean, gocm_update, run_optimization, update_continuation)
+from vtopt.grid import StructuredGrid
+from vtopt.optimizer import (ContinuationSchedule, ContinuationState, delta_rho_mean, gocm_update,
+                             run_optimization, update_continuation)
 from vtopt.problem import build_problem
 
 

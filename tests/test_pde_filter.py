@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vtopt.grid import build_grid
-from vtopt.pde_filter import RADIUS_TO_LENGTH, DensityFilter, build_filter
+from vtopt.grid import StructuredGrid
+from vtopt.pde_filter import RADIUS_TO_LENGTH, DensityFilter
 
 
 def dense_filter_matrix(grid, radius):
@@ -25,38 +25,38 @@ def dense_filter_matrix(grid, radius):
 
 class TestBuildFilter:
     def test_radius_conversion(self):
-        grid = build_grid(4, 4, 0.25)
-        filt = build_filter(grid, 0.375)
+        grid = StructuredGrid(4, 4, 0.25)
+        filt = DensityFilter(grid, 0.375)
         assert filt.length_scale == pytest.approx(0.10825317547305482, rel=1e-12)
 
     def test_rejects_nonpositive_radius(self):
-        grid = build_grid(4, 4, 0.25)
+        grid = StructuredGrid(4, 4, 0.25)
         with pytest.raises(ValueError):
-            build_filter(grid, 0.0)
+            DensityFilter(grid, 0.0)
 
     def test_tiny_radius_is_identity(self):
-        grid = build_grid(6, 4, 0.25)
-        filt = build_filter(grid, 1e-8)
+        grid = StructuredGrid(6, 4, 0.25)
+        filt = DensityFilter(grid, 1e-8)
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, grid.n_elements)
         assert np.allclose(filt.apply(x), x, atol=1e-12)
 
     def test_single_cell_identity(self):
-        grid = build_grid(1, 1, 1.0)
-        filt = build_filter(grid, 0.5)
+        grid = StructuredGrid(1, 1, 1.0)
+        filt = DensityFilter(grid, 0.5)
         assert filt.apply(np.array([0.37])) == pytest.approx([0.37], rel=1e-14)
 
 
 class TestApplyFilter:
     def test_preserves_uniform_field(self):
-        grid = build_grid(9, 5, 0.5)
-        filt = build_filter(grid, 0.75)
+        grid = StructuredGrid(9, 5, 0.5)
+        filt = DensityFilter(grid, 0.75)
         out = filt.apply(np.full(grid.n_elements, 0.42))
         assert np.allclose(out, 0.42, atol=1e-12)
 
     def test_volume_conservation(self):
-        grid = build_grid(12, 8, 0.25)
-        filt = build_filter(grid, 0.375)
+        grid = StructuredGrid(12, 8, 0.25)
+        filt = DensityFilter(grid, 0.375)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.uniform(0, 1, grid.n_elements)
@@ -64,8 +64,8 @@ class TestApplyFilter:
             assert abs(out.sum() - x.sum()) / x.sum() < 1e-8
 
     def test_maximum_principle(self):
-        grid = build_grid(10, 10, 0.2)
-        filt = build_filter(grid, 0.5)
+        grid = StructuredGrid(10, 10, 0.2)
+        filt = DensityFilter(grid, 0.5)
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.uniform(0, 1, grid.n_elements)
@@ -74,8 +74,8 @@ class TestApplyFilter:
             assert out.max() <= x.max() + 1e-10
 
     def test_single_source_blob(self):
-        grid = build_grid(11, 11, 1.0)
-        filt = build_filter(grid, 3.0)
+        grid = StructuredGrid(11, 11, 1.0)
+        filt = DensityFilter(grid, 3.0)
         x = np.zeros(grid.n_elements)
         center = grid.element_index(5, 5)
         x[center] = 1.0
@@ -90,16 +90,16 @@ class TestApplyFilter:
         assert (np.diff(row[5:]) < 0).all()
 
     def test_matches_dense_oracle_random(self):
-        grid = build_grid(7, 5, 0.5)
-        filt = build_filter(grid, 0.8)
+        grid = StructuredGrid(7, 5, 0.5)
+        filt = DensityFilter(grid, 0.8)
         dense = dense_filter_matrix(grid, 0.8)
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, grid.n_elements)
         assert np.allclose(filt.apply(x), dense @ x, atol=1e-12)
 
     def test_reduces_total_variation_on_a_line(self):
-        grid = build_grid(20, 1, 1.0)
-        filt = build_filter(grid, 1.5)
+        grid = StructuredGrid(20, 1, 1.0)
+        filt = DensityFilter(grid, 1.5)
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.uniform(0, 1, grid.n_elements)
@@ -109,16 +109,16 @@ class TestApplyFilter:
             assert tv_out < tv_in
 
     def test_dimension_mismatch(self):
-        grid = build_grid(4, 4, 1.0)
-        filt = build_filter(grid, 1.5)
+        grid = StructuredGrid(4, 4, 1.0)
+        filt = DensityFilter(grid, 1.5)
         with pytest.raises(ValueError):
             filt.apply(np.zeros(5))
 
 
 class TestApplyTranspose:
     def test_adjoint_identity_under_volume_inner_product(self):
-        grid = build_grid(9, 6, 0.25)
-        filt = build_filter(grid, 0.375)
+        grid = StructuredGrid(9, 6, 0.25)
+        filt = DensityFilter(grid, 0.375)
         v = grid.element_volumes()
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -129,14 +129,14 @@ class TestApplyTranspose:
             assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
     def test_uniform_gradient_stays_uniform(self):
-        grid = build_grid(6, 6, 0.5)
-        filt = build_filter(grid, 0.9)
+        grid = StructuredGrid(6, 6, 0.5)
+        filt = DensityFilter(grid, 0.9)
         out = filt.apply_transpose(np.full(grid.n_elements, 2.0))
         assert np.allclose(out, 2.0, atol=1e-10)
 
     def test_matches_dense_transpose(self):
-        grid = build_grid(5, 5, 0.5)
-        filt = build_filter(grid, 0.7)
+        grid = StructuredGrid(5, 5, 0.5)
+        filt = DensityFilter(grid, 0.7)
         dense = dense_filter_matrix(grid, 0.7)
         rng = np.random.default_rng(6)
         g = rng.normal(size=grid.n_elements)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vtopt.fem import MaterialModel, assemble_and_solve, cantilever_bc, compliance_sensitivity
-from vtopt.grid import ElementField, build_grid
-from vtopt.pde_filter import build_filter
+from vtopt.grid import ElementField, StructuredGrid
+from vtopt.pde_filter import DensityFilter
 from vtopt.projections import (NeighborhoodStats, ProjectionParams, chain_gradient,
                                dgi_derivative, dgi_project, lt_project, lt_project_derivative,
                                neighborhood_stats, regularize_chain, smoothed_heaviside,
@@ -141,7 +141,7 @@ class TestSmoothedHeaviside:
 
 class TestNeighborhoodStats:
     def test_uniform_field(self):
-        grid = build_grid(6, 4, 0.5)
+        grid = StructuredGrid(6, 4, 0.5)
         stats = neighborhood_stats(grid, np.full(grid.n_elements, 0.3), 0.75)
         assert np.allclose(stats.rho_min, 0.3)
         assert np.allclose(stats.rho_max, 0.3)
@@ -149,7 +149,7 @@ class TestNeighborhoodStats:
         assert np.allclose(stats.rho_mid, 0.3)
 
     def test_center_spike_3x3(self):
-        grid = build_grid(3, 3, 1.0)
+        grid = StructuredGrid(3, 3, 1.0)
         field = np.zeros(9)
         field[grid.element_index(1, 1)] = 1.0
         stats = neighborhood_stats(grid, field, 1.5)
@@ -159,7 +159,7 @@ class TestNeighborhoodStats:
         assert np.allclose(stats.rho_mid, 0.5)
 
     def test_matches_brute_force_on_random_fields(self):
-        grid = build_grid(8, 8, 0.25)
+        grid = StructuredGrid(8, 8, 0.25)
         rng = np.random.default_rng(10)
         centers = grid.element_centers()
         for r in (0.25, 0.375, 0.6):
@@ -174,7 +174,7 @@ class TestNeighborhoodStats:
 
     @pytest.mark.parametrize("nx, ny, h", [(160, 80, 0.125), (9, 1, 0.3), (1, 7, 0.5), (5, 3, 0.1)])
     def test_matches_neighbor_table_reduction(self, nx, ny, h):
-        grid = build_grid(nx, ny, h)
+        grid = StructuredGrid(nx, ny, h)
         rng = np.random.default_rng(12)
         for r in (0.0, 0.25, 0.375, 0.5, 1.5):
             field = rng.uniform(0, 1, grid.n_elements)
@@ -185,7 +185,7 @@ class TestNeighborhoodStats:
             assert np.array_equal(stats.rho_max, np.maximum.reduceat(gathered, starts))
 
     def test_bounds_include_own_value(self):
-        grid = build_grid(7, 3, 0.5)
+        grid = StructuredGrid(7, 3, 0.5)
         rng = np.random.default_rng(11)
         field = rng.uniform(0, 1, grid.n_elements)
         stats = neighborhood_stats(grid, field, 0.8)
@@ -290,8 +290,8 @@ class TestDgiDerivative:
 
 class TestRegularizeChain:
     def setup_method(self):
-        self.grid = build_grid(8, 5, 0.25)
-        self.filt = build_filter(self.grid, 0.375)
+        self.grid = StructuredGrid(8, 5, 0.25)
+        self.filt = DensityFilter(self.grid, 0.375)
         rng = np.random.default_rng(17)
         self.raw = ElementField(rng.uniform(0.05, 0.95, self.grid.n_elements), "raw")
 
@@ -346,14 +346,14 @@ def compliance_of(grid, bc, mat, chainres, p, rho_low):
 
 class TestChainGradient:
     def setup_method(self):
-        self.grid = build_grid(4, 2, 0.5)
+        self.grid = StructuredGrid(4, 2, 0.5)
         self.bc = cantilever_bc(self.grid)
         self.mat = MaterialModel()
         rng = np.random.default_rng(18)
         self.rho = rng.uniform(0.2, 0.9, self.grid.n_elements)
 
     def test_identity_chain_passes_gradient_through(self):
-        filt = build_filter(self.grid, 1e-9)
+        filt = DensityFilter(self.grid, 1e-9)
         params = ProjectionParams(beta_bar=1.0, beta_hat=0.0, radius=0.375)
         chain = regularize_chain(self.grid, ElementField(self.rho, "raw"), params, filt,
                                  dgi_enabled=False)
@@ -361,7 +361,7 @@ class TestChainGradient:
         assert np.allclose(chain_gradient(chain, g), g, atol=1e-10)
 
     def _full_chain_fd(self, params, projection, dgi_enabled, p):
-        filt = build_filter(self.grid, params.radius)
+        filt = DensityFilter(self.grid, params.radius)
         base = regularize_chain(self.grid, ElementField(self.rho, "raw"), params, filt,
                                 projection=projection, dgi_enabled=dgi_enabled)
         sol = assemble_and_solve(self.grid, self.bc, base.rho_physical, p, params.rho_low, self.mat)
@@ -399,7 +399,7 @@ class TestChainGradient:
         self._full_chain_fd(params, projection="black_white", dgi_enabled=False, p=3.0)
 
     def test_shape_mismatch_rejected(self):
-        filt = build_filter(self.grid, 0.375)
+        filt = DensityFilter(self.grid, 0.375)
         chain = regularize_chain(self.grid, ElementField(self.rho, "raw"),
                                  ProjectionParams(), filt)
         with pytest.raises(ValueError):
@@ -412,7 +412,7 @@ class TestProjectionParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(rho_low=0.0), dict(rho_low=1.0), dict(beta_bar=0.5),
-        dict(beta_hat=-1.0), dict(radius=-0.1), dict(eta_hat=0.4),
+        dict(beta_hat=-1.0), dict(radius=-0.1),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
