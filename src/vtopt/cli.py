@@ -14,7 +14,7 @@ from .config import parse_config
 from .diagnostics import gradient_check, line_profile, transition_width
 from .errors import ConfigError, GeometryError, NumericalError, StructuralError, VtoptError
 from .export import read_field_text
-from .problem import build_problem
+from .grid import StructuredGrid
 from .runner import SUITES, run_ablation_suite, run_single
 
 EXIT_OK = 0
@@ -80,6 +80,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.probes < 1:
+        raise ConfigError(f"--probes must be at least 1, got {args.probes}")
+    if not 0 < args.fd_step < float("inf"):
+        raise ConfigError(f"--fd-step must be positive and finite, got {args.fd_step}")
     cfg = parse_config(args.config)
     if cfg.nx > 8 or cfg.ny > 4:
         # the load keeps its place relative to the shrunken domain; no profile is measured
@@ -98,15 +102,17 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.n < 2:
+        raise ConfigError(f"n must be at least 2 samples, got {args.n}")
     cfg = parse_config(args.config)
     field_path = Path(cfg.output_dir) / "final_physical.txt"
     if not field_path.exists():
         raise ConfigError(f"no completed run found: {field_path} is missing (run 'vtopt run' first)")
-    setup = build_problem(cfg)
+    grid = StructuredGrid(nx=cfg.nx, ny=cfg.ny, h=cfg.h)
     values = read_field_text(field_path)
     if values.shape != (cfg.ny, cfg.nx):
         raise ConfigError(f"snapshot shape {values.shape} does not match configured grid")
-    profile = line_profile(setup.grid, values.ravel(), (args.x0, args.y0), (args.x1, args.y1), args.n)
+    profile = line_profile(grid, values.ravel(), (args.x0, args.y0), (args.x1, args.y1), args.n)
     width = transition_width(profile)
     lines = ["arc,value"]
     lines += [f"{a:.9g},{v:.9g}" for a, v in zip(profile.arc, profile.values)]

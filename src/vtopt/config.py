@@ -11,7 +11,7 @@ from .errors import ConfigError
 CLAMP_EDGES = ("left", "right", "bottom", "top")
 CONTINUATION_MODES = ("sequential", "simultaneous")
 VOLUME_FIELDS = ("physical", "raw")
-SOLVERS = ("direct", "cg")
+SOLVERS = ("direct",)
 
 _TRUE = {"1", "true", "on", "yes"}
 _FALSE = {"0", "false", "off", "no"}

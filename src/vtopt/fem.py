@@ -12,14 +12,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import cg, splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NumericalError, StaleStateError, StructuralError
 from .grid import ElementField, StructuredGrid
 
 DIRECT_RESIDUAL_TOL = 1e-10
-ITERATIVE_RESIDUAL_TOL = 1e-8
 
 INTERPOLATIONS = ("selective", "global")
 
@@ -171,88 +169,92 @@ def _element_dofs(nx: int, ny: int) -> np.ndarray:
     return dofs
 
 
-def dissection_order(nx: int, ny: int) -> np.ndarray:
-    """Nodes of the (nx+1) x (ny+1) node grid in geometric nested-dissection order.
+def band_order(nx: int, ny: int) -> np.ndarray:
+    """Nodes of the (nx+1) x (ny+1) node grid, ordered along the shorter side first.
 
-    A block of nodes is split across its longer side by the middle grid line;
-    the two halves come first, each ordered the same way, and the line last.
-    No element couples nodes on opposite sides of a grid line, so eliminating
-    in this order confines the fill of a direct factorization to the
-    separators (George, SIAM J. Numer. Anal. 1973). Blocks one node wide are
-    taken in grid order.
+    An element couples nodes at most one line plus one node apart in this
+    order, so with 2 dofs per node K_ff is a band of half-width at most
+    2(min(nx, ny) + 1) + 3 (George & Liu, Computer Solution of Large Sparse
+    Positive Definite Systems, 1981).
     """
-    order: list[np.ndarray] = []
-
-    def dissect(i0, i1, j0, j1):
-        width, height = i1 - i0, j1 - j0
-        if min(width, height) < 2:
-            order.append((np.arange(j0, j1)[:, None] * (nx + 1) + np.arange(i0, i1)).ravel())
-        elif width >= height:
-            m = (i0 + i1) // 2
-            dissect(i0, m, j0, j1)
-            dissect(m + 1, i1, j0, j1)
-            order.append(np.arange(j0, j1) * (nx + 1) + m)
-        else:
-            m = (j0 + j1) // 2
-            dissect(i0, i1, j0, m)
-            dissect(i0, i1, m + 1, j1)
-            order.append(m * (nx + 1) + np.arange(i0, i1))
-
-    dissect(0, nx + 1, 0, ny + 1)
-    return np.concatenate(order)
+    nodes = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    return (nodes.T if ny <= nx else nodes).ravel()
 
 
 @dataclass(frozen=True)
-class FreeStiffnessPattern:
-    """Sparsity of the free-dof stiffness K_ff, rows and columns in dissection order.
+class BandPattern:
+    """Where the free-dof stiffness K_ff goes in LAPACK lower band storage.
 
-    ``free[k]`` is the global dof of row and column k. ``indptr``/``indices``
-    are the CSC structure of K_ff. ``scatter`` gives, for every entry of the
-    (n_elements, 8, 8) element matrices in C order, its slot in the CSC data;
-    entries that touch a fixed dof go to the extra slot ``nnz``, which is
-    dropped.
+    ``free[k]`` is the global dof of row and column k. K_ff[i, j] with i >= j
+    sits at ``ab[i - j, j]`` of a Fortran-ordered (bandwidth + 1, n) array.
+    ``rows``/``cols`` pick the element-matrix entries on or below the diagonal
+    in this order (the same for every element); ``scatter`` gives, for each
+    of them and each element, its slot in ``ab``'s memory. Entries that touch
+    a fixed dof go to the extra slot ``ab.size``, which is dropped.
     """
 
     free: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    bandwidth: int
+    rows: np.ndarray
+    cols: np.ndarray
     scatter: np.ndarray
 
-    def stiffness(self, E: np.ndarray, k0: np.ndarray) -> csc_matrix:
-        """K_ff for element moduli E and unit element stiffness k0."""
-        nnz = self.indices.size
-        data = np.bincount(self.scatter, weights=(E[:, None] * k0.ravel()).ravel(),
-                           minlength=nnz + 1)[:nnz]
-        return csc_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
+    def band(self, E: np.ndarray, k0: np.ndarray) -> np.ndarray:
+        """K_ff in lower band storage for element moduli E and unit element stiffness k0."""
+        n, width = self.free.size, self.bandwidth + 1
+        weights = E[:, None] * k0[self.rows, self.cols]
+        data = np.bincount(self.scatter.ravel(), weights=weights.ravel(), minlength=n * width + 1)
+        return data[:n * width].reshape(n, width).T
 
 
-def free_stiffness_pattern(grid: StructuredGrid, bc: BoundaryConditions) -> FreeStiffnessPattern:
-    """The K_ff pattern of a grid size and fixed-dof set, built on first use and cached."""
+def band_pattern(grid: StructuredGrid, bc: BoundaryConditions) -> BandPattern:
+    """The K_ff band pattern of a grid size and fixed-dof set, built on first use and cached."""
     fixed = bc.fixed_dofs().astype(np.int64)
-    return _free_stiffness_pattern(grid.nx, grid.ny, fixed.tobytes())
+    return _band_pattern(grid.nx, grid.ny, fixed.tobytes())
 
 
 @functools.lru_cache(maxsize=8)
-def _free_stiffness_pattern(nx: int, ny: int, fixed_bytes: bytes) -> FreeStiffnessPattern:
-    nodes = dissection_order(nx, ny)
+def _band_pattern(nx: int, ny: int, fixed_bytes: bytes) -> BandPattern:
+    nodes = band_order(nx, ny)
     dofs = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
     free = dofs[~np.isin(dofs, np.frombuffer(fixed_bytes, dtype=np.int64))]
     n = free.size
+    rank = np.argsort(dofs)
     position = np.full(dofs.size, -1, dtype=np.int64)
     position[free] = np.arange(n)
-    edof = position[_element_dofs(nx, ny)]
-    rows = np.repeat(edof, 8, axis=1).ravel()
-    cols = np.tile(edof, (1, 8)).ravel()
-    kept = (rows >= 0) & (cols >= 0)
-    keys, slots = np.unique(cols[kept] * n + rows[kept], return_inverse=True)
-    scatter = np.full(rows.size, keys.size, dtype=np.int64)
-    scatter[kept] = slots
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    pattern = FreeStiffnessPattern(free=free, indptr=indptr.astype(np.int32),
-                                   indices=(keys % n).astype(np.int32), scatter=scatter)
-    for array in (pattern.free, pattern.indptr, pattern.indices, pattern.scatter):
+    edof = _element_dofs(nx, ny)
+    # every element orders its dofs alike and dropping fixed dofs keeps that order,
+    # so element 0 tells which of its entries lie on or below the diagonal
+    rows, cols = np.nonzero(rank[edof[0]][:, None] >= rank[edof[0]][None, :])
+    i, j = position[edof[:, rows]], position[edof[:, cols]]
+    kept = (i >= 0) & (j >= 0)
+    bandwidth = int((i - j)[kept].max(initial=0))
+    scatter = np.where(kept, j * (bandwidth + 1) + i - j, (bandwidth + 1) * n)
+    pattern = BandPattern(free=free, bandwidth=bandwidth, rows=rows, cols=cols, scatter=scatter)
+    for array in (pattern.free, pattern.rows, pattern.cols, pattern.scatter):
         array.setflags(write=False)
     return pattern
+
+
+@dataclass(frozen=True)
+class BandCholesky:
+    """Cholesky factor L of a band matrix in LAPACK lower band storage, with nnz stored entries."""
+
+    factor: np.ndarray
+    nnz: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dpbtrs(self.factor, rhs, lower=1)[0]
+
+
+def splu(ab: np.ndarray) -> BandCholesky:
+    """Factor the band matrix ab in place; StructuralError if it is not positive definite."""
+    # the name is the factorization probe that perfbench's tracer and the tests patch
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise StructuralError(f"stiffness factorization failed: leading minor {info} "
+                              "is not positive definite")
+    return BandCholesky(factor, factor.size)
 
 
 def cantilever_bc(grid: StructuredGrid, clamp_edge: str = "left",
@@ -297,17 +299,20 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
                        solver: str = "direct") -> StateSolution:
     """Assemble K(rho) and solve K u = f; returns displacements and compliance.
 
-    The free-dof system is assembled straight into the cached dissection-ordered
-    pattern. The direct solver factors it without pivoting in symmetric mode:
-    K_ff is symmetric positive definite, since the rho_min floor keeps every
-    element modulus positive and the fixed dofs remove the rigid-body modes.
+    The free-dof system is assembled straight into the cached band pattern and
+    factored by a banded Cholesky: K_ff is symmetric positive definite, since
+    the rho_min floor keeps every element modulus positive and the fixed dofs
+    remove the rigid-body modes. The residual is taken element by element,
+    without a second copy of K.
     """
     if len(rho_physical) != grid.n_elements:
         raise ValueError(f"field length {len(rho_physical)} does not match grid "
                          f"with {grid.n_elements} elements")
+    if solver != "direct":
+        raise ValueError(f"unknown solver {solver!r}")
     E = interpolate_modulus(rho_physical.values, p, rho_low, mat, interpolation)
-    pattern = free_stiffness_pattern(grid, bc)
-    Kff = pattern.stiffness(E, element_stiffness(mat.nu))
+    k0 = element_stiffness(mat.nu)
+    pattern = band_pattern(grid, bc)
     f = bc.load_vector(2 * grid.n_nodes)
     ff = f[pattern.free]
 
@@ -315,33 +320,21 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
     fnorm = np.linalg.norm(ff)
     if fnorm == 0.0:
         residual = 0.0
-    elif solver == "direct":
-        try:
-            lu = splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True))
-        except RuntimeError as err:
-            raise StructuralError(f"stiffness factorization failed: {err}") from err
-        sol = lu.solve(ff)
+    else:
+        sol = splu(pattern.band(E, k0)).solve(ff)
         if not np.isfinite(sol).all():
             raise StructuralError("singular stiffness system (insufficient constraints)")
         u[pattern.free] = sol
-        residual = np.linalg.norm(Kff @ sol - ff) / fnorm
+        edof = element_dof_map(grid)
+        Ku = np.bincount(edof.ravel(), weights=(E[:, None] * (u[edof] @ k0)).ravel(),
+                         minlength=f.size)
+        residual = np.linalg.norm(Ku[pattern.free] - ff) / fnorm
         if not residual <= DIRECT_RESIDUAL_TOL:
             if residual > 1e-6:   # far beyond roundoff: rank deficiency, not precision loss
                 raise StructuralError("singular stiffness system (insufficient constraints), "
                                       f"solve residual {residual:.3e}")
             raise NumericalError(f"direct solve residual {residual:.3e} exceeds "
                                  f"{DIRECT_RESIDUAL_TOL:.0e}")
-    elif solver == "cg":
-        precond = diags(1.0 / Kff.diagonal())
-        sol, info = cg(Kff, ff, rtol=ITERATIVE_RESIDUAL_TOL, atol=0.0, M=precond,
-                       maxiter=20 * Kff.shape[0])
-        if info != 0:
-            raise NumericalError(f"cg did not converge (info={info})")
-        u[pattern.free] = sol
-        residual = np.linalg.norm(Kff @ sol - ff) / fnorm
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
 
     compliance = float(f @ u)
     return StateSolution(u=u, compliance=compliance,

@@ -163,6 +163,23 @@ class TestCliVerbs:
         assert main(["gradcheck", str(cfg)]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,name", [(["--probes", "0"], "--probes"),
+                                            (["--probes", "-3"], "--probes"),
+                                            (["--fd-step", "0"], "--fd-step"),
+                                            (["--fd-step", "nan"], "--fd-step")])
+    def test_gradcheck_rejects_arguments_that_check_nothing(self, tmp_path, capsys, flags, name):
+        cfg = write_cfg(tmp_path, "nx = 8\nny = 4\nh = 0.25\n")
+        assert main(["gradcheck", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and name in captured.err
+
+    def test_profile_rejects_fewer_than_two_samples(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["profile", str(cfg), "0.5", "0.5", "0.5", "2.5", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least 2 samples" in err
+
     def test_profile_requires_completed_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST + f"max_iters = 60\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["profile", str(cfg), "0.5", "0.5", "0.5", "2.5", "20"]) == 1

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
+from vtopt import fem
 from vtopt.errors import StaleStateError, StructuralError
-from vtopt.fem import (BoundaryConditions, MaterialModel, assemble_and_solve, cantilever_bc,
-                       compliance_sensitivity, dissection_order, element_dof_map,
-                       element_stiffness, free_stiffness_pattern, interpolate_modulus,
-                       penalize_thin, penalize_thin_derivative)
+from vtopt.fem import (BoundaryConditions, MaterialModel, assemble_and_solve, band_order,
+                       band_pattern, cantilever_bc, compliance_sensitivity, element_dof_map,
+                       element_stiffness, interpolate_modulus, penalize_thin,
+                       penalize_thin_derivative)
 from vtopt.grid import ElementField, StructuredGrid
 
 
@@ -171,18 +172,29 @@ GRIDS_AND_EDGES = [((1, 1), "left"), ((3, 2), "bottom"), ((8, 4), "left"), ((7, 
                    ((33, 5), "right")]
 
 
+def band_to_dense(ab):
+    """The symmetric matrix whose lower band ab[i - j, j] holds."""
+    n = ab.shape[1]
+    K = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        K[np.arange(d, n), np.arange(n - d)] = ab[d, :n - d]
+    return np.tril(K) + np.tril(K, -1).T
+
+
 class TestFreeStiffnessPattern:
+    """The band pattern of the free-dof stiffness K_ff."""
+
     @pytest.mark.parametrize("size", [(1, 1), (2, 1), (8, 4), (7, 12), (33, 5)])
-    def test_dissection_order_is_a_permutation_of_the_nodes(self, size):
+    def test_node_order_is_a_permutation_of_the_nodes(self, size):
         nx, ny = size
-        order = dissection_order(nx, ny)
+        order = band_order(nx, ny)
         assert np.array_equal(np.sort(order), np.arange((nx + 1) * (ny + 1)))
 
     @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
     def test_order_is_a_permutation_of_exactly_the_free_dofs(self, size, edge):
         grid = StructuredGrid(*size, 0.5)
         bc = cantilever_bc(grid, clamp_edge=edge)
-        free = free_stiffness_pattern(grid, bc).free
+        free = band_pattern(grid, bc).free
         expected = np.setdiff1d(np.arange(2 * grid.n_nodes), bc.fixed_dofs())
         assert free.size == expected.size
         assert np.array_equal(np.sort(free), expected)
@@ -192,11 +204,11 @@ class TestFreeStiffnessPattern:
         grid = StructuredGrid(*size, 0.5)
         bc = cantilever_bc(grid, clamp_edge=edge)
         E = np.random.default_rng(sum(size)).uniform(1e-3, 1.0, grid.n_elements)
-        pattern = free_stiffness_pattern(grid, bc)
+        pattern = band_pattern(grid, bc)
         k0 = element_stiffness(0.3)
         # undo the permutation: row/column k of K is global dof pattern.free[k]
         undo = np.argsort(pattern.free)
-        K = pattern.stiffness(E, k0)[undo][:, undo].toarray()
+        K = band_to_dense(pattern.band(E, k0))[undo][:, undo]
         reference = coo_free_stiffness(grid, bc, E, k0).toarray()
         # an entry sums up to four element contributions, here in another order;
         # the difference is bounded by roundoff of the sum of their magnitudes
@@ -204,13 +216,27 @@ class TestFreeStiffnessPattern:
         assert np.array_equal(K != 0.0, reference != 0.0)
         assert (np.abs(K - reference) <= 1e-15 * magnitude).all()
 
+    @pytest.mark.parametrize("size", [(8, 4), (4, 9), (2, 30), (30, 2)])
+    def test_half_width_follows_the_shorter_side(self, size):
+        grid = StructuredGrid(*size, 0.5)
+        pattern = band_pattern(grid, cantilever_bc(grid))
+        assert pattern.bandwidth <= 2 * (min(size) + 1) + 3
+
+    def test_factor_stores_the_whole_band(self):
+        grid = StructuredGrid(7, 12, 0.5)
+        pattern = band_pattern(grid, cantilever_bc(grid))
+        factor = fem.splu(pattern.band(np.ones(grid.n_elements), element_stiffness(0.3)))
+        assert factor.nnz == pattern.free.size * (pattern.bandwidth + 1)
+
     def test_pattern_is_cached_per_grid_size_and_fixed_dofs(self):
         grid = StructuredGrid(8, 4, 0.25)
         same_size = StructuredGrid(8, 4, 1.0)
-        assert free_stiffness_pattern(grid, cantilever_bc(grid)) is \
-            free_stiffness_pattern(same_size, cantilever_bc(same_size))
-        assert free_stiffness_pattern(grid, cantilever_bc(grid)) is not \
-            free_stiffness_pattern(grid, cantilever_bc(grid, clamp_edge="right"))
+        assert band_pattern(grid, cantilever_bc(grid)) is \
+            band_pattern(same_size, cantilever_bc(same_size))
+        assert band_pattern(grid, cantilever_bc(grid)) is not \
+            band_pattern(grid, cantilever_bc(grid, clamp_edge="right"))
+        assert band_pattern(grid, cantilever_bc(grid)) is not \
+            band_pattern(StructuredGrid(4, 8, 0.25), cantilever_bc(StructuredGrid(4, 8, 0.25)))
 
 
 class TestAssembleAndSolve:
@@ -249,14 +275,28 @@ class TestAssembleAndSolve:
         sol = assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
         assert sol.compliance > 0
 
-    def test_cg_agrees_with_direct(self):
-        grid = StructuredGrid(4, 2, 0.5)
-        bc = cantilever_bc(grid)
+    @pytest.mark.parametrize("size,edge", [((6, 3), "left"), ((6, 3), "right"), ((5, 4), "bottom"),
+                                           ((5, 4), "top"), ((3, 7), "left")])
+    def test_matches_dense_solve_for_every_clamp_edge(self, size, edge):
+        grid = StructuredGrid(*size, 0.5)
+        # the load sits on the edge opposite the clamp, off every fixed dof
+        load = {"left": (None, None), "right": (0.0, None), "bottom": (None, size[1] * 0.5),
+                "top": (None, 0.0)}[edge]
+        bc = cantilever_bc(grid, clamp_edge=edge, load_x=load[0], load_y=load[1], load_fx=0.3)
         mat = MaterialModel()
+        field = ElementField(np.random.default_rng(3).uniform(0.05, 1.0, grid.n_elements), "physical")
+        sol = assemble_and_solve(grid, bc, field, 3.0, 0.1, mat)
+        u, expected = dense_solve(grid, bc, interpolate_modulus(field.values, 3.0, 0.1, mat), mat.nu)
+        assert expected > 0
+        assert sol.compliance == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(sol.u, u, rtol=0.0, atol=1e-12 * np.abs(u).max())
+        assert sol.residual <= 1e-12
+
+    def test_unknown_solver_is_rejected(self):
+        grid = StructuredGrid(2, 1, 1.0)
         field = ElementField(np.full(grid.n_elements, 0.6), "physical")
-        direct = assemble_and_solve(grid, bc, field, 1.0, 0.1, mat, solver="direct")
-        iterative = assemble_and_solve(grid, bc, field, 1.0, 0.1, mat, solver="cg")
-        assert iterative.compliance == pytest.approx(direct.compliance, rel=1e-6)
+        with pytest.raises(ValueError, match="solver"):
+            assemble_and_solve(grid, cantilever_bc(grid), field, 1.0, 0.1, MaterialModel(), solver="cg")
 
 
 class TestComplianceSensitivity:
