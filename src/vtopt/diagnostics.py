@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .grid import ElementField, StructuredGrid
 
 VOID_THRESHOLD = 0.001   # densities at or below this count as acceptable void
+MAX_FD_STEP = 0.01       # keeps the probes in [0, 1] and most of the probe range off the kink
 
 
 def low_thickness_fraction(rho_physical, volumes, rho_low: float,
@@ -116,11 +117,16 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
 
     The base point goes through the optimizer's own evaluation step, so the
     check verifies the gradient the run loop uses; a check makes
-    1 + 2 * n_probe state solves.
+    1 + 2 * n_probe state solves. n_probe must be at least 1 and fd_step in
+    (0, MAX_FD_STEP]; the messages name the matching `vtopt gradcheck` flags.
     """
     from .optimizer import ContinuationState, evaluate, forward
     from .problem import build_problem
 
+    if n_probe < 1:
+        raise ConfigError(f"--probes must be at least 1, got {n_probe}")
+    if not 0 < fd_step <= MAX_FD_STEP:
+        raise ConfigError(f"--fd-step must be in (0, {MAX_FD_STEP:g}], got {fd_step}")
     setup = build_problem(cfg)
     grid = setup.grid
     rng = np.random.default_rng(cfg.seed)

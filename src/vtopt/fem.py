@@ -30,14 +30,6 @@ class MaterialModel:
     nu: float = 0.3
     rho_min: float = 1e-9
 
-    def __post_init__(self):
-        if not self.E0 > 0:
-            raise ValueError(f"E0 must be positive, got {self.E0}")
-        if not 0 <= self.nu < 0.5:
-            raise ValueError(f"nu must be in [0, 0.5), got {self.nu}")
-        if not 0 < self.rho_min < 1:
-            raise ValueError(f"rho_min must be in (0, 1), got {self.rho_min}")
-
 
 @dataclass
 class BoundaryConditions:

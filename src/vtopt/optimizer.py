@@ -2,10 +2,11 @@
 
 The update is an optimality-criteria style multiplicative step: each density is
 scaled by the square root of its sensitivity ratio, capped by a geometrically
-decaying move limit, with a Lagrange multiplier bisected until the resulting
-physical volume fraction hits the target. The penalty exponent and the two
-projection sharpness parameters ramp geometrically, by default sequentially
-(sharpness ramps start once the penalty exponent is maxed out).
+decaying move limit, with a Lagrange multiplier found by bracketing and
+regula falsi in log(lambda) until the resulting physical volume fraction hits
+the target. The penalty exponent and the two projection sharpness parameters
+ramp geometrically, by default sequentially (sharpness ramps start once the
+penalty exponent is maxed out).
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ if TYPE_CHECKING:
 RATIO_FLOOR = 1e-10      # floor on the sensitivity ratio inside the update
 RATIO_CAP = 1e200        # keeps rho * ratio**damping finite; the clamp saturates far earlier
 DAMPING = 0.5            # exponent on the sensitivity ratio in the multiplicative update
-VOLUME_TOL = 1e-6        # bisection tolerance on the volume fraction
-LAM_MIN = 1e-60          # multiplier search range; outside it the update is saturated anyway
-LAM_MAX = 1e60
-MAX_BRACKET = 100
-MAX_BISECT = 300
+VOLUME_TOL = 1e-6        # multiplier search tolerance on the volume fraction
+LOG_LAM_BOUND = float(np.log(1e60))   # |log lam| range; beyond it the update is saturated anyway
+MAX_ROOT_STEPS = 100     # regula falsi budget once the root is bracketed
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,6 @@ class ContinuationSchedule:
     beta_bar_max: float = 25.0
     c_beta_bar: float = 1.05
     mode: str = "sequential"
-
-    def __post_init__(self):
-        for key in ("c_p", "c_beta_hat", "c_beta_bar"):
-            if not getattr(self, key) > 1:
-                raise ValueError(f"{key} must be > 1")
-        if self.p_max < self.p_init or self.beta_hat_max < self.beta_hat_init \
-                or self.beta_bar_max < self.beta_bar_init:
-            raise ValueError("continuation maxima must be >= their initial values")
-        if self.mode not in ("sequential", "simultaneous"):
-            raise ValueError(f"unknown continuation mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +117,17 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
                 vol_target: float, volumes: np.ndarray,
                 physical_map: Callable[[np.ndarray], np.ndarray] | None = None,
                 lam_seed: float = 1.0) -> tuple[np.ndarray, float]:
-    """Multiplicative exponential design update with a bisected volume multiplier.
+    """Multiplicative exponential design update with a searched volume multiplier.
 
     rho_new = clip(rho * B^0.5, rho - step, rho + step) clipped to [0, 1], with
-    B = max(eps, -dF / (lam * dG)); the decaying step acts as a move limit. lam
-    is bisected (geometrically) until the volume fraction of the physical field
-    equals vol_target within VOLUME_TOL, or the constraint is inactive at the
-    lower bracket. Returns the new raw field and the multiplier found, which
-    makes a good seed for the next iteration.
+    B = max(eps, -dF / (lam * dG)); the decaying step acts as a move limit. The
+    volume excess of the physical field falls as lam grows, so lam is found in
+    t = log(lam): steps outward from the seed (0.25, then doubling) bracket the
+    root, and Illinois regula falsi closes the bracket until the volume fraction
+    equals vol_target within VOLUME_TOL. If |t| reaches LOG_LAM_BOUND first, the
+    move limit is saturated or the constraint is inactive, and that update is
+    returned. Returns the new raw field and the multiplier found, which makes a
+    good seed for the next iteration.
     """
     rho = np.asarray(rho, dtype=float)
     dF = np.asarray(dF, dtype=float)
@@ -148,66 +140,46 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
         raise ValueError(f"step must be in (0, 1], got {step}")
     if not lam_seed > 0:
         raise ValueError("lam_seed must be positive")
-    lam_seed = float(np.clip(lam_seed, LAM_MIN, LAM_MAX))
 
     base_ratio = np.minimum(-dF / dG, RATIO_CAP)
     total_volume = np.sum(volumes)
 
-    def candidate(lam: float) -> np.ndarray:
-        ratio = np.maximum(RATIO_FLOOR, np.minimum(base_ratio / lam, RATIO_CAP))
-        proposed = rho * ratio ** DAMPING
-        return np.clip(np.clip(proposed, rho - step, rho + step), 0.0, 1.0)
-
-    def excess(lam: float) -> tuple[float, np.ndarray]:
-        new = candidate(lam)
+    def excess(t: float) -> tuple[float, np.ndarray]:
+        ratio = np.maximum(RATIO_FLOOR, np.minimum(base_ratio / np.exp(t), RATIO_CAP))
+        new = np.clip(np.clip(rho * ratio ** DAMPING, rho - step, rho + step), 0.0, 1.0)
         phys = physical_map(new) if physical_map is not None else new
         return float(np.sum(volumes * phys) / total_volume) - vol_target, new
 
-    err, new = excess(lam_seed)
-    if abs(err) <= VOLUME_TOL:
-        return new, lam_seed
+    # bracket: too much material raises the multiplier, too little lowers it
+    t_a = float(np.clip(np.log(lam_seed), -LOG_LAM_BOUND, LOG_LAM_BOUND))
+    f_a, new = excess(t_a)
+    if abs(f_a) <= VOLUME_TOL:
+        return new, float(np.exp(t_a))
+    direction = 1.0 if f_a > 0.0 else -1.0
+    width = 0.25
+    while True:
+        if direction * t_a >= LOG_LAM_BOUND:
+            return new, float(np.exp(t_a))   # saturated move limit or inactive constraint
+        t_b = float(np.clip(t_a + direction * width, -LOG_LAM_BOUND, LOG_LAM_BOUND))
+        f_b, new = excess(t_b)
+        if abs(f_b) <= VOLUME_TOL:
+            return new, float(np.exp(t_b))
+        if (f_b > 0.0) != (f_a > 0.0):
+            break
+        t_a, f_a, width = t_b, f_b, 2.0 * width
 
-    if err > 0.0:   # too much material: raise the multiplier
-        lo = lam_seed
-        hi = lam_seed
-        for _ in range(MAX_BRACKET):
-            hi = min(hi * 2.0, LAM_MAX)
-            err, new = excess(hi)
-            if abs(err) <= VOLUME_TOL:
-                return new, hi
-            if err < 0.0:
-                break
-            if hi >= LAM_MAX:
-                # the move limit saturates before the target is reachable; take the
-                # maximal feasible step toward it (the constraint is an inequality)
-                return new, hi
+    # root: Illinois regula falsi, halving the value at an end kept twice in a row
+    for _ in range(MAX_ROOT_STEPS):
+        t = t_b - f_b * (t_b - t_a) / (f_b - f_a)
+        f, new = excess(t)
+        if abs(f) <= VOLUME_TOL:
+            return new, float(np.exp(t))
+        if (f > 0.0) != (f_b > 0.0):
+            t_a, f_a = t_b, f_b
         else:
-            return new, hi   # saturated within the bracketing budget
-    else:           # too little: lower the multiplier, or the constraint is inactive
-        hi = lam_seed
-        lo = lam_seed
-        for _ in range(MAX_BRACKET):
-            lo = max(lo / 2.0, LAM_MIN)
-            err, new = excess(lo)
-            if abs(err) <= VOLUME_TOL:
-                return new, lo
-            if err > 0.0:
-                break
-            if lo <= LAM_MIN:
-                return new, lo   # inactive constraint: keep the lower-bracket update
-        else:
-            return new, lo   # inactive constraint within the bracketing budget
-
-    for _ in range(MAX_BISECT):
-        mid = np.sqrt(lo * hi)
-        err, new = excess(mid)
-        if abs(err) <= VOLUME_TOL:
-            return new, mid
-        if err > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError(f"volume bisection did not reach tolerance {VOLUME_TOL}")
+            f_a *= 0.5
+        t_b, f_b = t, f
+    raise NumericalError(f"volume multiplier search did not reach tolerance {VOLUME_TOL}")
 
 
 @dataclass

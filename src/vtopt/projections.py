@@ -34,16 +34,6 @@ class ProjectionParams:
     beta_hat: float = 0.1
     radius: float = 0.375
 
-    def __post_init__(self):
-        if not 0 < self.rho_low < 1:
-            raise ValueError(f"rho_low must be in (0, 1), got {self.rho_low}")
-        if self.beta_bar < 1:
-            raise ValueError(f"beta_bar must be >= 1, got {self.beta_bar}")
-        if self.beta_hat < 0:
-            raise ValueError(f"beta_hat must be >= 0, got {self.beta_hat}")
-        if self.radius < 0:
-            raise ValueError(f"neighborhood radius must be >= 0, got {self.radius}")
-
 
 @dataclass
 class NeighborhoodStats:

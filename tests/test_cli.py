@@ -166,13 +166,21 @@ class TestCliVerbs:
     @pytest.mark.parametrize("flags,name", [(["--probes", "0"], "--probes"),
                                             (["--probes", "-3"], "--probes"),
                                             (["--fd-step", "0"], "--fd-step"),
-                                            (["--fd-step", "nan"], "--fd-step")])
+                                            (["--fd-step", "nan"], "--fd-step"),
+                                            (["--fd-step", "0.12"], "--fd-step"),
+                                            (["--fd-step", "0.2"], "--fd-step")])
     def test_gradcheck_rejects_arguments_that_check_nothing(self, tmp_path, capsys, flags, name):
         cfg = write_cfg(tmp_path, "nx = 8\nny = 4\nh = 0.25\n")
         assert main(["gradcheck", str(cfg), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and name in captured.err
+
+    def test_gradcheck_notes_the_grid_reduction_only_after_a_check(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST)
+        assert main(["gradcheck", str(cfg), "--probes", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "note" not in err
 
     def test_profile_rejects_fewer_than_two_samples(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST + f"output_dir = {tmp_path / 'out'}\n")

@@ -63,6 +63,14 @@ class TestValidation:
         ("step_decay = 1.0", "step_decay"),
         ("beta_bar_max = 0.5", "beta_bar_max"),
         ("c_p = 1.0", "c_p"),
+        ("c_beta_hat = 0.9", "c_beta_hat"),
+        ("p_max = 0.5", "p_max"),
+        ("beta_hat_max = 0.01", "beta_hat_max"),
+        ("continuation_mode = stepwise", "continuation_mode"),
+        ("rho_low = 0", "rho_low"),
+        ("dgi_radius = -0.1", "dgi_radius"),
+        ("E0 = 0", "E0"),
+        ("rho_min = 1", "rho_min"),
         ("clamp_edge = diagonal", "clamp_edge"),
         ("volume_on = both", "volume_on"),
         ("solver = magic", "solver"),

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from vtopt import fem, optimizer
+from vtopt import fem, optimizer, problem
 from vtopt.config import RunConfig
 from vtopt.diagnostics import (LineProfile, gradient_check, line_profile, low_thickness_fraction,
                                transition_width)
-from vtopt.errors import GeometryError
+from vtopt.errors import ConfigError, GeometryError
 from vtopt.grid import StructuredGrid
 from vtopt.pde_filter import DensityFilter
 from vtopt.projections import dgi_project, neighborhood_stats
@@ -220,6 +220,18 @@ class TestGradientCheck:
         monkeypatch.setattr(fem, "splu", lambda *a, **k: factored.append(1) or splu(*a, **k))
         gradient_check(RunConfig(nx=8, ny=4, h=0.25, seed=6), n_probe=n_probe)
         assert len(factored) == 1 + 2 * n_probe
+
+    @pytest.mark.parametrize("kwargs,flag", [(dict(n_probe=0), "--probes"),
+                                             (dict(fd_step=0.0), "--fd-step"),
+                                             (dict(fd_step=0.2), "--fd-step")])
+    def test_rejects_arguments_that_check_nothing_before_building(self, monkeypatch, kwargs, flag):
+        monkeypatch.setattr(problem, "build_problem", lambda cfg: pytest.fail("problem was built"))
+        with pytest.raises(ConfigError, match=flag):
+            gradient_check(RunConfig(nx=8, ny=4, h=0.25), **kwargs)
+
+    def test_largest_step_keeps_probes_inside_the_density_range(self):
+        # rho +- fd_step stays in [0.19, 0.91] and the kink exclusion leaves room to sample
+        assert np.isfinite(gradient_check(RunConfig(nx=8, ny=4, h=0.25, seed=6), fd_step=0.01))
 
     def test_full_default_grid_passes_at_the_default_step(self):
         # the central difference must not be swamped by solver roundoff at 80x40

@@ -409,11 +409,3 @@ class TestChainGradient:
 class TestProjectionParams:
     def test_defaults_valid(self):
         ProjectionParams()
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(rho_low=0.0), dict(rho_low=1.0), dict(beta_bar=0.5),
-        dict(beta_hat=-1.0), dict(radius=-0.1),
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ProjectionParams(**kwargs)
