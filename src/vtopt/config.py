@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +81,12 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite")
+        _require(self.width_profile is None or all(map(math.isfinite, self.width_profile)),
+                 "width_profile", "must be finite")
         _require(self.nx >= 1, "nx", "must be >= 1")
         _require(self.ny >= 1, "ny", "must be >= 1")
         _require(self.h > 0, "h", "must be positive")
@@ -121,7 +128,8 @@ class RunConfig:
         _require(0 < self.step_decay < 1, "step_decay", "must be in (0, 1)")
         _require(0 < self.step_min <= self.step_init, "step_min", "must be in (0, step_init]")
         _require(0 < self.vol_frac <= 1, "vol_frac", "must be in (0, 1]")
-        _require(0 <= self.rho_init <= 1, "rho_init", "must be in [0, 1]")
+        # the update is multiplicative, so a zero start never moves
+        _require(0 < self.rho_init <= 1, "rho_init", "must be in (0, 1]")
         _require(self.tol_drho > 0, "tol_drho", "must be positive")
         _require(self.max_iters >= 1, "max_iters", "must be >= 1")
         _require(self.volume_on in VOLUME_FIELDS, "volume_on", f"must be one of {VOLUME_FIELDS}")
@@ -174,6 +182,7 @@ _PARSERS = {
     "clamp_edge": str, "continuation_mode": str, "volume_on": str, "solver": str,
     "output_dir": str, "width_profile": _parse_width_profile,
 }
+_FLOAT_KEYS = tuple(key for key, parse in _PARSERS.items() if parse is float)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

@@ -66,23 +66,14 @@ class StateSolution:
 
 def penalize_thin(rho, p: float, rho_low: float):
     """Power-law penalization applied only below rho_low; identity above it."""
-    _check_penalty(p, rho_low)
     rho = np.asarray(rho, dtype=float)
     return np.where(rho >= rho_low, rho, (rho / rho_low) ** p * rho_low)
 
 
 def penalize_thin_derivative(rho, p: float, rho_low: float):
     """Branch derivative of penalize_thin, chosen by inequality at the kink."""
-    _check_penalty(p, rho_low)
     rho = np.asarray(rho, dtype=float)
     return np.where(rho >= rho_low, 1.0, p * (rho / rho_low) ** (p - 1.0))
-
-
-def _check_penalty(p: float, rho_low: float):
-    if p < 1:
-        raise ValueError(f"penalty exponent must be >= 1, got {p}")
-    if not 0 < rho_low < 1:
-        raise ValueError(f"rho_low must be in (0, 1), got {rho_low}")
 
 
 def interpolate_modulus(rho_physical, p: float, rho_low: float, mat: MaterialModel,

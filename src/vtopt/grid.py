@@ -159,7 +159,9 @@ class StructuredGrid:
         """
         if r < 0:
             raise ValueError(f"neighborhood radius must be nonnegative, got {r}")
-        r_eff = max(float(r), MIN_NEIGHBORHOOD_FACTOR * self.h)
+        # beyond the grid diagonal every neighborhood already is the whole grid
+        r_eff = min(max(float(r), MIN_NEIGHBORHOOD_FACTOR * self.h),
+                    self.h * math.hypot(self.nx, self.ny))
         ratio2 = (r_eff / self.h) ** 2 * (1.0 + 1e-12)  # tolerance keeps ties on the circle
         m = int(math.floor(math.sqrt(ratio2)))
         return tuple(max(di for di in range(m + 1) if di * di + dj * dj <= ratio2)

@@ -37,86 +37,53 @@ class ProjectionParams:
 
 @dataclass
 class NeighborhoodStats:
-    """Per-element min/max/variation/midpoint of the field over each neighborhood."""
+    """Per-element min/max/variation of the field over each neighborhood."""
 
     rho_min: np.ndarray
     rho_max: np.ndarray
     diff: np.ndarray
-    rho_mid: np.ndarray
-
-
-def switching_weight(rho, beta: float, eta: float):
-    """Sigmoid blend weight rising from 0 to 1 around a beta-shifted threshold."""
-    if not 0 < eta < 1:
-        raise ValueError(f"threshold eta must be in (0, 1), got {eta}")
-    if not beta > 0:
-        raise ValueError(f"sharpness beta must be positive, got {beta}")
-    rho = np.asarray(rho, dtype=float)
-    return 0.5 * (1.0 + np.tanh(beta * (rho / eta - eta ** (1.0 / beta))))
 
 
 def lt_project(rho_tilde, beta_bar: float, rho_low: float):
-    """Blend of the beta-power-penalized density and the identity.
+    """Blend of the beta-power-penalized density and the identity, with its slope.
 
-    The switching weight keeps densities above rho_low nearly unchanged while
-    suppressing lower values; beta_bar = 1 is handled as an exact identity.
+    A tanh switching weight rising around the beta-shifted threshold keeps
+    densities above rho_low nearly unchanged while suppressing lower values;
+    beta_bar = 1 is handled as an exact identity. Returns (value, slope).
     """
-    if beta_bar < 1:
-        raise ValueError(f"beta_bar must be >= 1, got {beta_bar}")
     rho = np.asarray(rho_tilde, dtype=float)
     if beta_bar == 1.0:
-        return rho.copy()
-    s = switching_weight(rho, beta_bar, rho_low)
-    return (1.0 - s) * rho ** beta_bar + s * rho
-
-
-def lt_project_derivative(rho_tilde, beta_bar: float, rho_low: float):
-    if beta_bar < 1:
-        raise ValueError(f"beta_bar must be >= 1, got {beta_bar}")
-    rho = np.asarray(rho_tilde, dtype=float)
-    if beta_bar == 1.0:
-        return np.ones_like(rho)
-    t = beta_bar * (rho / rho_low - rho_low ** (1.0 / beta_bar))
-    tanh_t = np.tanh(t)
+        return rho.copy(), np.ones_like(rho)
+    tanh_t = np.tanh(beta_bar * (rho / rho_low - rho_low ** (1.0 / beta_bar)))
     s = 0.5 * (1.0 + tanh_t)
     s_prime = (beta_bar / (2.0 * rho_low)) * (1.0 - tanh_t ** 2)
-    return s_prime * (rho - rho ** beta_bar) + (1.0 - s) * beta_bar * rho ** (beta_bar - 1.0) + s
+    power = rho ** beta_bar
+    value = (1.0 - s) * power + s * rho
+    slope = s_prime * (rho - power) + (1.0 - s) * beta_bar * rho ** (beta_bar - 1.0) + s
+    return value, slope
 
 
 def smoothed_heaviside(rho, beta, eta: float):
-    """Standard tanh-smoothed step fixing H(0) = 0 and H(1) = 1.
+    """Standard tanh-smoothed step fixing H(0) = 0 and H(1) = 1, with its slope.
 
     beta may be a scalar or a per-element array; values below SMALL_BETA fall
     back to the identity (the leading term of the small-beta series).
+    Returns (value, slope).
     """
-    if not 0 < eta < 1:
-        raise ValueError(f"threshold eta must be in (0, 1), got {eta}")
     rho = np.asarray(rho, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if (beta < 0).any():
-        raise ValueError("sharpness beta must be >= 0")
     small = beta < SMALL_BETA
     b = np.where(small, 1.0, beta)
-    num = np.tanh(b * eta) + np.tanh(b * (rho - eta))
-    den = np.tanh(b * eta) + np.tanh(b * (1.0 - eta))
-    return np.where(small, rho, num / den)
-
-
-def smoothed_heaviside_derivative(rho, beta, eta: float):
-    if not 0 < eta < 1:
-        raise ValueError(f"threshold eta must be in (0, 1), got {eta}")
-    rho = np.asarray(rho, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if (beta < 0).any():
-        raise ValueError("sharpness beta must be >= 0")
-    small = beta < SMALL_BETA
-    b = np.where(small, 1.0, beta)
-    den = np.tanh(b * eta) + np.tanh(b * (1.0 - eta))
-    return np.where(small, 1.0, b * (1.0 - np.tanh(b * (rho - eta)) ** 2) / den)
+    tanh_eta = np.tanh(b * eta)
+    tanh_rho = np.tanh(b * (rho - eta))
+    den = tanh_eta + np.tanh(b * (1.0 - eta))
+    value = np.where(small, rho, (tanh_eta + tanh_rho) / den)
+    slope = np.where(small, 1.0, b * (1.0 - tanh_rho ** 2) / den)
+    return value, slope
 
 
 def neighborhood_stats(grid: StructuredGrid, rho_tilde, r: float) -> NeighborhoodStats:
-    """Min/max/variation/midpoint over each element's cached radius neighborhood."""
+    """Min/max/variation over each element's cached radius neighborhood."""
     values = rho_tilde.values if isinstance(rho_tilde, ElementField) else np.asarray(rho_tilde, dtype=float)
     if values.shape != (grid.n_elements,):
         raise ValueError(f"field shape {values.shape} does not match grid")
@@ -124,9 +91,7 @@ def neighborhood_stats(grid: StructuredGrid, rho_tilde, r: float) -> Neighborhoo
     field = values.reshape(grid.ny, grid.nx)
     rho_min = _stencil_reduce(field, spans, np.minimum, np.inf)
     rho_max = _stencil_reduce(field, spans, np.maximum, -np.inf)
-    diff = rho_max - rho_min
-    return NeighborhoodStats(rho_min=rho_min, rho_max=rho_max, diff=diff,
-                             rho_mid=rho_min + 0.5 * diff)
+    return NeighborhoodStats(rho_min=rho_min, rho_max=rho_max, diff=rho_max - rho_min)
 
 
 def _stencil_reduce(field: np.ndarray, spans: tuple[int, ...], op, pad: float) -> np.ndarray:
@@ -157,32 +122,19 @@ def dgi_project(rho_tilde, stats: NeighborhoodStats, beta_hat: float):
     while edges (large diff) are resharpened. Degenerate neighborhoods, and
     those whose sharpness falls in the step's identity regime, pass through
     unchanged (exactly, not via the rescaling round trip).
+
+    Returns (value, slope), the slope taken with stats held fixed: the outer
+    diff scale and the inner 1/diff cancel, leaving the smoothed-step slope at
+    the local coordinate; degenerate neighborhoods give 1.
     """
-    if beta_hat < 0:
-        raise ValueError(f"beta_hat must be >= 0, got {beta_hat}")
     rho = np.asarray(rho_tilde, dtype=float)
     degenerate = stats.diff < DEGENERATE_RANGE
     d = np.where(degenerate, 1.0, stats.diff)
     local = (rho - stats.rho_min) / d
-    projected = stats.diff * smoothed_heaviside(local, beta_hat * stats.diff, DGI_THRESHOLD) \
-        + stats.rho_min
-    return np.where(degenerate | (beta_hat * stats.diff < SMALL_BETA), rho, projected)
-
-
-def dgi_derivative(rho_tilde, stats: NeighborhoodStats, beta_hat: float):
-    """Derivative of dgi_project in its density argument with stats held fixed.
-
-    The outer diff scale and the inner 1/diff cancel, leaving the smoothed-step
-    slope at the local coordinate; degenerate neighborhoods give 1.
-    """
-    if beta_hat < 0:
-        raise ValueError(f"beta_hat must be >= 0, got {beta_hat}")
-    rho = np.asarray(rho_tilde, dtype=float)
-    degenerate = stats.diff < DEGENERATE_RANGE
-    d = np.where(degenerate, 1.0, stats.diff)
-    local = (rho - stats.rho_min) / d
-    slope = smoothed_heaviside_derivative(local, beta_hat * stats.diff, DGI_THRESHOLD)
-    return np.where(degenerate, 1.0, slope)
+    beta = beta_hat * stats.diff
+    step, step_slope = smoothed_heaviside(local, beta, DGI_THRESHOLD)
+    value = np.where(degenerate | (beta < SMALL_BETA), rho, stats.diff * step + stats.rho_min)
+    return value, np.where(degenerate, 1.0, step_slope)
 
 
 # final projection applied after the deblurring step:
@@ -222,19 +174,19 @@ def regularize_chain(grid: StructuredGrid, rho_raw: ElementField, params: Projec
 
     if dgi_enabled:
         stats = frozen_stats if frozen_stats is not None else neighborhood_stats(grid, tilde, params.radius)
-        hat = np.clip(dgi_project(tilde, stats, params.beta_hat), 0.0, 1.0)
-        d_hat = dgi_derivative(tilde, stats, params.beta_hat)
+        hat, d_hat = dgi_project(tilde, stats, params.beta_hat)
+        hat = np.clip(hat, 0.0, 1.0)
     else:
         stats = None
         hat = tilde
         d_hat = np.ones_like(tilde)
 
     if projection == "low_thickness":
-        phys = np.clip(lt_project(hat, params.beta_bar, params.rho_low), 0.0, 1.0)
-        d_phys = lt_project_derivative(hat, params.beta_bar, params.rho_low)
+        phys, d_phys = lt_project(hat, params.beta_bar, params.rho_low)
+        phys = np.clip(phys, 0.0, 1.0)
     elif projection == "black_white":
-        phys = np.clip(smoothed_heaviside(hat, params.beta_bar, 0.5), 0.0, 1.0)
-        d_phys = smoothed_heaviside_derivative(hat, params.beta_bar, 0.5)
+        phys, d_phys = smoothed_heaviside(hat, params.beta_bar, 0.5)
+        phys = np.clip(phys, 0.0, 1.0)
     else:
         phys = hat
         d_phys = np.ones_like(hat)

@@ -162,6 +162,4 @@ def _write_suite_csv(path, rows: list[SuiteRow]) -> None:
         writer = csv.writer(handle)
         writer.writerow(SUITE_HEADER)
         for row in rows:
-            writer.writerow([cell(getattr(row, key)) for key in (
-                "variant", "filter_radius", "beta_hat_max", "status", "compliance",
-                "normalized_compliance", "lt_fraction", "transition_width", "iterations")])
+            writer.writerow([cell(getattr(row, key)) for key in SUITE_HEADER])

@@ -128,6 +128,11 @@ class TestCliVerbs:
         # partial artifacts still written
         assert (tmp_path / "out" / "history.csv").exists()
 
+    def test_radius_beyond_the_grid_ends_on_its_own(self, tmp_path):
+        cfg = write_cfg(tmp_path, "nx = 8\nny = 4\ndgi_radius = 1e9\nmax_iters = 3\n"
+                        f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) in (0, 3)
+
     def test_config_error_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "vol_frac = 1.5\n")
         assert main(["run", str(cfg)]) == 1
@@ -137,7 +142,11 @@ class TestCliVerbs:
                                           ("beta_hat_init = 0", "beta_hat_init"),
                                           ("load_fy = 0", "load_fx"),
                                           ("clamp_edge = right", "clamp_edge"),
-                                          ("load_x = 40", "load_x")])
+                                          ("load_x = 40", "load_x"),
+                                          ("filter_radius = inf", "filter_radius"),
+                                          ("E0 = inf", "E0"),
+                                          ("load_fy = nan", "load_fy"),
+                                          ("rho_init = 0", "rho_init")])
     def test_config_rejected_before_the_run(self, tmp_path, capsys, line, key):
         cfg = write_cfg(tmp_path, FAST + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 1

@@ -83,6 +83,16 @@ class TestValidation:
         ("clamp_edge = top\nload_y = 9.9", "clamp_edge"),
         ("width_profile = 1 1 30 1 10", "width_profile"),
         ("width_profile = 1 -0.5 1 5 10", "width_profile"),
+        ("h = inf", "^h must be finite"),
+        ("filter_radius = inf", "filter_radius must be finite"),
+        ("dgi_radius = nan", "dgi_radius must be finite"),
+        ("E0 = inf", "E0 must be finite"),
+        ("load_fy = inf", "load_fy must be finite"),
+        ("load_fy = nan", "load_fy must be finite"),
+        ("width_profile = 1 1 inf 1 10", "width_profile must be finite"),
+        ("rho_init = 0", "rho_init"),
+        ("p_init = 0.5", "p_init"),
+        ("beta_bar_init = 0.9", "beta_bar_init"),
     ])
     def test_invariants_name_the_key(self, line, key):
         with pytest.raises(ConfigError, match=key):

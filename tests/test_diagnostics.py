@@ -143,7 +143,7 @@ class TestWidthShrinksWithDeblurring:
             if beta_hat is None:
                 field = blurred
             else:
-                field = dgi_project(blurred, stats, beta_hat)
+                field, _ = dgi_project(blurred, stats, beta_hat)
             profile = line_profile(grid, field, (0.2, 1.3), (7.3, 1.3), 400)
             return transition_width(profile)
 
@@ -166,7 +166,7 @@ class TestWidthShrinksWithDeblurring:
         stats = neighborhood_stats(grid, blurred, 0.75)
         widths = []
         for beta in (0.5, 2.0, 5.0, 10.0, 25.0):
-            field = dgi_project(blurred, stats, beta)
+            field, _ = dgi_project(blurred, stats, beta)
             profile = line_profile(grid, field, (0.5, 1.3), (9.5, 1.3), 500)
             widths.append(transition_width(profile))
         assert all(w is not None for w in widths)

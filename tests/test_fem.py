@@ -78,10 +78,6 @@ class TestPenalizeThin:
         out = penalize_thin(rho, 2.7, 0.15)
         assert (np.diff(out) >= 0).all()
 
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            penalize_thin(0.5, 0.5, 0.1)
-
 
 class TestPenalizeThinDerivative:
     def test_identity_branch(self):
