@@ -159,7 +159,7 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
         E_plus, u_plus = probe(bumped)
         bumped[e] = rho[e] - fd_step
         E_minus, u_minus = probe(bumped)
-        energies = np.einsum("ij,jk,ik->i", u_minus, k0, u_plus)
+        energies = ((u_minus @ k0) * u_plus).sum(axis=1)
         fd = -float(np.sum((E_plus - E_minus) * energies)) / (2.0 * fd_step)
         denom = max(abs(fd), abs(analytic[e]), 1e-300)
         worst = max(worst, abs(fd - analytic[e]) / denom)

@@ -334,6 +334,6 @@ def compliance_sensitivity(grid: StructuredGrid, solution: StateSolution,
     k0 = element_stiffness(mat.nu)
     edof = element_dof_map(grid)
     ue = solution.u[edof]
-    energies = np.einsum("ij,jk,ik->i", ue, k0, ue)
+    energies = ((ue @ k0) * ue).sum(axis=1)
     dE = modulus_derivative(rho_physical.values, p, rho_low, mat, interpolation)
     return -(energies * dE)

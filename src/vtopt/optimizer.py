@@ -2,9 +2,9 @@
 
 The update is an optimality-criteria style multiplicative step: each density is
 scaled by the square root of its sensitivity ratio, capped by a geometrically
-decaying move limit, with a Lagrange multiplier found by bracketing and
-regula falsi in log(lambda) until the resulting physical volume fraction hits
-the target. The penalty exponent and the two projection sharpness parameters
+decaying move limit, with a Lagrange multiplier found by a safeguarded Newton
+search in log(lambda) until the resulting physical volume fraction hits the
+target. The penalty exponent and the two projection sharpness parameters
 ramp geometrically, by default sequentially (sharpness ramps start once the
 penalty exponent is maxed out).
 """
@@ -30,8 +30,9 @@ RATIO_FLOOR = 1e-10      # floor on the sensitivity ratio inside the update
 RATIO_CAP = 1e200        # keeps rho * ratio**damping finite; the clamp saturates far earlier
 DAMPING = 0.5            # exponent on the sensitivity ratio in the multiplicative update
 VOLUME_TOL = 1e-6        # multiplier search tolerance on the volume fraction
-LOG_LAM_BOUND = float(np.log(1e60))   # |log lam| range; beyond it the update is saturated anyway
-MAX_ROOT_STEPS = 100     # regula falsi budget once the root is bracketed
+LOG_LAM_BOUND = float(np.log(1e60))   # |log lam| range around the sensitivity scale; beyond it
+                                      # the update is saturated anyway
+MAX_ROOT_STEPS = 100     # budget of volume evaluations per multiplier search
 
 
 @dataclass(frozen=True)
@@ -115,19 +116,31 @@ def delta_rho_mean(rho_old: np.ndarray, rho_new: np.ndarray, volumes: np.ndarray
 
 def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
                 vol_target: float, volumes: np.ndarray,
-                physical_map: Callable[[np.ndarray], np.ndarray] | None = None,
+                physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
                 lam_seed: float = 1.0) -> tuple[np.ndarray, float]:
     """Multiplicative exponential design update with a searched volume multiplier.
 
     rho_new = clip(rho * B^0.5, rho - step, rho + step) clipped to [0, 1], with
-    B = max(eps, -dF / (lam * dG)); the decaying step acts as a move limit. The
-    volume excess of the physical field falls as lam grows, so lam is found in
-    t = log(lam): steps outward from the seed (0.25, then doubling) bracket the
-    root, and Illinois regula falsi closes the bracket until the volume fraction
-    equals vol_target within VOLUME_TOL. If |t| reaches LOG_LAM_BOUND first, the
-    move limit is saturated or the constraint is inactive, and that update is
-    returned. Returns the new raw field and the multiplier found, which makes a
-    good seed for the next iteration.
+    B = max(eps, -dF / (lam * dG)); the decaying step acts as a move limit.
+    physical_map(rho_new) returns the physical field and the gradient of its
+    volume fraction w.r.t. rho_new; without it the volume is taken on rho_new.
+
+    The volume excess falls as lam grows, so lam is found by Newton's method in
+    t = log(lam), measured from the volume-weighted mean of -dF / dG so that the
+    search does not depend on the problem's scale. The slope of a trial is the
+    volume gradient times d rho_new / dt = -DAMPING * rho_new on the elements no
+    clip holds; once two trials lie on one side of the root, their secant takes
+    its place, which corrects a slope biased by the parts of the chain that the
+    gradient holds fixed. Until a sign change brackets the root, a step is
+    capped at a width that doubles whenever it binds; after that, a Newton step
+    that leaves the bracket, or that follows a trial which did not halve the
+    smallest excess so far, gives way to Illinois regula falsi on the bracket.
+    The search stops when the volume fraction equals vol_target within
+    VOLUME_TOL, or when no lam can move the field further toward it (every
+    element held by a clip in that direction, or |t| at LOG_LAM_BOUND): a
+    saturated move limit or an inactive constraint, whose update is returned.
+    Returns the new raw field and the multiplier found, which makes a good seed
+    for the next iteration.
     """
     rho = np.asarray(rho, dtype=float)
     dF = np.asarray(dF, dtype=float)
@@ -141,44 +154,58 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
     if not lam_seed > 0:
         raise ValueError("lam_seed must be positive")
 
-    base_ratio = np.minimum(-dF / dG, RATIO_CAP)
+    base_ratio = np.minimum(-dF, RATIO_CAP * dG) / dG   # divides without overflow
     total_volume = np.sum(volumes)
+    scale = float(np.sum(volumes * base_ratio) / total_volume) or 1.0
+    relative_ratio = base_ratio / scale
+    lower, upper = np.maximum(rho - step, 0.0), np.minimum(rho + step, 1.0)
 
-    def excess(t: float) -> tuple[float, np.ndarray]:
-        ratio = np.maximum(RATIO_FLOOR, np.minimum(base_ratio / np.exp(t), RATIO_CAP))
-        new = np.clip(np.clip(rho * ratio ** DAMPING, rho - step, rho + step), 0.0, 1.0)
-        phys = physical_map(new) if physical_map is not None else new
-        return float(np.sum(volumes * phys) / total_volume) - vol_target, new
-
-    # bracket: too much material raises the multiplier, too little lowers it
-    t_a = float(np.clip(np.log(lam_seed), -LOG_LAM_BOUND, LOG_LAM_BOUND))
-    f_a, new = excess(t_a)
-    if abs(f_a) <= VOLUME_TOL:
-        return new, float(np.exp(t_a))
-    direction = 1.0 if f_a > 0.0 else -1.0
-    width = 0.25
-    while True:
-        if direction * t_a >= LOG_LAM_BOUND:
-            return new, float(np.exp(t_a))   # saturated move limit or inactive constraint
-        t_b = float(np.clip(t_a + direction * width, -LOG_LAM_BOUND, LOG_LAM_BOUND))
-        f_b, new = excess(t_b)
-        if abs(f_b) <= VOLUME_TOL:
-            return new, float(np.exp(t_b))
-        if (f_b > 0.0) != (f_a > 0.0):
-            break
-        t_a, f_a, width = t_b, f_b, 2.0 * width
-
-    # root: Illinois regula falsi, halving the value at an end kept twice in a row
-    for _ in range(MAX_ROOT_STEPS):
-        t = t_b - f_b * (t_b - t_a) / (f_b - f_a)
-        f, new = excess(t)
-        if abs(f) <= VOLUME_TOL:
-            return new, float(np.exp(t))
-        if (f > 0.0) != (f_b > 0.0):
-            t_a, f_a = t_b, f_b
+    def trial(t: float) -> tuple[float, float, np.ndarray, bool]:
+        scaled = relative_ratio * np.exp(-t)
+        grown = rho * np.clip(scaled, RATIO_FLOOR, RATIO_CAP) ** DAMPING
+        new = np.clip(grown, lower, upper)
+        # clips that a larger lam cannot release, and those a smaller lam cannot
+        held_low = (scaled <= RATIO_FLOOR) | (grown <= lower)
+        held_high = (scaled >= RATIO_CAP) | (grown >= upper)
+        free = ~(held_low | held_high)
+        if physical_map is None:
+            phys, grad = new, volumes / total_volume
         else:
-            f_a *= 0.5
-        t_b, f_b = t, f
+            phys, grad = physical_map(new)
+        excess = float(np.sum(volumes * phys) / total_volume) - vol_target
+        stuck = bool((held_low if excess > 0.0 else held_high).all())
+        return excess, -DAMPING * float(grad[free] @ new[free]), new, stuck
+
+    t = float(np.clip(np.log(lam_seed) - np.log(scale), -LOG_LAM_BOUND, LOG_LAM_BOUND))
+    ends: dict[bool, list[float]] = {}   # side -> [t, excess] of its latest trial
+    previous = None   # (t, excess) of the trial a Newton or regula falsi step left
+    best, last_side, width = np.inf, None, 1.0
+    for _ in range(MAX_ROOT_STEPS):
+        f, slope, new, stuck = trial(t)
+        side = f > 0.0   # too much material raises the multiplier, too little lowers it
+        direction = 1.0 if side else -1.0
+        if abs(f) <= VOLUME_TOL or stuck or direction * t >= LOG_LAM_BOUND:
+            return new, scale * float(np.exp(t))
+        if previous is not None and (previous[1] > 0.0) == side:
+            # two trials on one side of the root: their secant corrects a biased slope
+            secant = (f - previous[1]) / (t - previous[0])
+            slope = secant if secant < 0.0 else slope
+        slow = abs(f) > 0.5 * best
+        best = min(best, abs(f))
+        if side == last_side and (not side) in ends:
+            ends[not side][1] *= 0.5   # Illinois: the other end was kept twice in a row
+        ends[side], last_side = [t, f], side
+        guess = t - f / slope if slope < 0.0 else np.nan
+        if (not side) in ends:
+            (t_a, f_a), (t_b, f_b) = ends[True], ends[False]
+            if slow or not min(t_a, t_b) < guess < max(t_a, t_b):
+                guess = t_b - f_b * (t_b - t_a) / (f_b - f_a)
+            previous = (t, f)
+        elif abs(guess - t) < width:
+            previous = (t, f)
+        else:   # no usable slope, or a step beyond the cap: widen outward
+            guess, width, previous = t + direction * width, 2.0 * width, None
+        t = float(np.clip(guess, -LOG_LAM_BOUND, LOG_LAM_BOUND))
     raise NumericalError(f"volume multiplier search did not reach tolerance {VOLUME_TOL}")
 
 
@@ -262,7 +289,10 @@ def run_optimization(setup: "ProblemSetup",
         vol_grad_phys = volumes / np.sum(volumes)
         if cfg.volume_on == "physical":
             dG = chain_gradient(chain, vol_grad_phys)
-            physical_map = lambda raw: forward(setup, raw, state).rho_physical.values
+
+            def physical_map(raw):
+                trial = forward(setup, raw, state)
+                return trial.rho_physical.values, chain_gradient(trial, vol_grad_phys)
         else:
             dG = vol_grad_phys.copy()
             physical_map = None

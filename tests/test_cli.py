@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from vtopt.cli import main
-from vtopt.config import RunConfig
+from vtopt.config import (CLAMP_EDGES, CONTINUATION_MODES, VOLUME_FIELDS, RunConfig,
+                          parse_config_text)
+from vtopt.errors import ConfigError
 from vtopt.export import read_field_text, read_history
 from vtopt.runner import run_ablation_suite, run_single
 
@@ -218,3 +220,76 @@ class TestCliVerbs:
         code = main(["suite", str(cfg), "penalization_compare"])
         assert code in (0, 3)
         assert (tmp_path / "out" / "penalization_compare" / "suite.csv").exists()
+
+
+def log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def random_config_text(rng):
+    """A 6x3 config with every mode and float key drawn over its valid range."""
+    nx, ny, h = 6, 3, log_uniform(rng, 1e-3, 1e3)
+    keys = {"nx": nx, "ny": ny, "h": h, "max_iters": int(rng.integers(1, 11)),
+            "clamp_edge": rng.choice(CLAMP_EDGES),
+            "continuation_mode": rng.choice(CONTINUATION_MODES),
+            "volume_on": rng.choice(VOLUME_FIELDS)}
+    for flag in ("lt_simp", "lt_projection", "dgi", "penalized_reference"):
+        keys[flag] = rng.choice(["on", "off"])
+    if rng.random() < 0.5:
+        keys["load_x"], keys["load_y"] = rng.uniform(0, nx * h), rng.uniform(0, ny * h)
+    keys["load_fx"] = rng.choice([0.0, rng.normal() * log_uniform(rng, 1e-6, 1e6)])
+    keys["load_fy"] = rng.normal() * log_uniform(rng, 1e-6, 1e6)
+    keys["E0"] = log_uniform(rng, 1e-80, 1e80)   # wider scales: test below
+    keys["nu"] = rng.uniform(0.0, 0.5)
+    keys["rho_min"] = log_uniform(rng, 1e-12, 0.5)
+    keys["filter_radius"] = h * log_uniform(rng, 1e-3, 10.0)
+    if rng.random() < 0.5:
+        keys["dgi_radius"] = h * rng.uniform(0.0, 10.0)
+    keys["rho_low"] = rng.uniform(0.01, 0.99)
+    keys["beta_bar_init"] = log_uniform(rng, 1.0, 50.0)
+    keys["beta_bar_max"] = keys["beta_bar_init"] * log_uniform(rng, 1.0, 10.0)
+    keys["beta_hat_init"] = log_uniform(rng, 1e-3, 10.0)
+    keys["beta_hat_max"] = keys["beta_hat_init"] * log_uniform(rng, 1.0, 100.0)
+    keys["p_init"] = rng.uniform(1.0, 5.0)
+    keys["p_max"] = keys["p_init"] * rng.uniform(1.0, 2.0)
+    for key in ("c_p", "c_beta_hat", "c_beta_bar"):
+        keys[key] = 1.0 + log_uniform(rng, 1e-3, 2.0)
+    keys["step_init"] = rng.uniform(1e-3, 1.0)
+    keys["step_decay"] = rng.uniform(0.01, 0.999)
+    keys["step_min"] = keys["step_init"] * rng.uniform(1e-3, 1.0)
+    keys["vol_frac"] = rng.uniform(0.01, 1.0)
+    keys["rho_init"] = rng.uniform(0.01, 1.0)
+    keys["tol_drho"] = log_uniform(rng, 1e-8, 1e-1)
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+# The state solve's residual check reads the conditioning of a design with void at
+# a tiny rho_min as a solver failure, so these draws exit 2 (ROADMAP item 3).
+SOLVE_CHECK_FAILURES = (40, 79, 101, 127)
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(seed, marks=pytest.mark.xfail(reason="solve residual check, ROADMAP item 3"))
+    if seed in SOLVE_CHECK_FAILURES else seed for seed in range(200)])
+def test_every_valid_config_runs_to_an_end(tmp_path, capsys, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        text = random_config_text(rng)
+        try:
+            parse_config_text(text)
+            break
+        except ConfigError:
+            continue
+    cfg = write_cfg(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+    code = main(["run", str(cfg)])
+    assert code in (0, 3), capsys.readouterr().err
+
+
+@pytest.mark.xfail(reason="element energies u^T k0 u leave the float range past E0 ~ 1e+-150")
+@pytest.mark.parametrize("E0", ["1e-300", "1e300"])
+def test_stiffness_scales_past_the_float_range_run_to_an_end(tmp_path, E0):
+    cfg = write_cfg(tmp_path, f"nx = 8\nny = 4\nmax_iters = 60\nE0 = {E0}\n"
+                    f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 3
+    last = read_history(tmp_path / "out" / "history.csv")[-1]
+    assert last["vol_frac"] == pytest.approx(0.3, abs=1e-3)

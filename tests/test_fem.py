@@ -356,6 +356,19 @@ class TestComplianceSensitivity:
             c = assemble_and_solve(grid, bc, ElementField(bumped, "physical"), 1.0, 0.1, mat).compliance
             assert c <= base + 1e-12
 
+    def test_energies_match_the_three_operand_contraction(self):
+        grid = StructuredGrid(7, 4, 0.5)
+        mat = MaterialModel()
+        rng = np.random.default_rng(8)
+        field = ElementField(rng.uniform(0.0, 1.0, grid.n_elements), "physical")
+        solution = fem.StateSolution(u=rng.normal(size=2 * grid.n_nodes), compliance=0.0,
+                                     field_revision=field.revision, residual=0.0)
+        grad = compliance_sensitivity(grid, solution, field, 3.0, 0.1, mat)
+        ue = solution.u[element_dof_map(grid)]
+        energies = np.einsum("ij,jk,ik->i", ue, element_stiffness(mat.nu), ue)
+        reference = -energies * fem.modulus_derivative(field.values, 3.0, 0.1, mat, "selective")
+        assert (np.abs(grad - reference) <= 1e-13 * np.abs(reference)).all()
+
     def test_stale_field_detected(self):
         grid = StructuredGrid(2, 2, 1.0)
         bc = cantilever_bc(grid)

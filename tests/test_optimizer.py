@@ -186,18 +186,63 @@ class TestGocmUpdate:
         new, _ = gocm_update(rho, dF, dG, step, 0.5, volumes)
         assert np.abs(new - rho).max() <= step + 1e-12
 
-    @pytest.mark.parametrize("lam_seed", [1e-30, 1e30])
-    def test_nonlinear_physical_map_from_far_seeds(self, lam_seed):
+    @staticmethod
+    def cube_case():
         rng = np.random.default_rng(4)
         rho = rng.uniform(0.2, 0.9, 50)
         volumes = np.ones(50)
         dG = 3.0 * rho ** 2 / 50   # gradient of the mean of the cube
         dF = -rng.uniform(0.1, 5.0, 50) * dG
         target = float(np.mean(rho ** 3)) - 0.01   # reachable within the move limit
+        return rho, dF, dG, volumes, target
+
+    @pytest.mark.parametrize("lam_seed", [1e-30, 1e30])
+    def test_nonlinear_physical_map_from_far_seeds(self, lam_seed):
+        rho, dF, dG, volumes, target = self.cube_case()
         new, lam = gocm_update(rho, dF, dG, 0.05, target, volumes,
-                               physical_map=lambda x: x ** 3, lam_seed=lam_seed)
+                               physical_map=lambda x: (x ** 3, 3.0 * x ** 2 / x.size),
+                               lam_seed=lam_seed)
         assert abs(np.mean(new ** 3) - target) <= 1e-6
         assert 1e-60 < lam < 1e60
+
+    @pytest.mark.parametrize("slope_error", [0.5, 2.0])
+    def test_wrong_slope_still_converges(self, slope_error):
+        rho, dF, dG, volumes, target = self.cube_case()
+        passes = []
+
+        def cube(x):
+            passes.append(1)
+            return x ** 3, slope_error * 3.0 * x ** 2 / x.size
+
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes, physical_map=cube)
+        assert abs(np.mean(new ** 3) - target) <= 1e-6
+        assert len(passes) <= optimizer.MAX_ROOT_STEPS
+
+    def test_seed_at_the_root_needs_one_pass(self):
+        rho, dF, dG, volumes, target = self.cube_case()
+        passes = []
+
+        def cube(x):
+            passes.append(1)
+            return x ** 3, 3.0 * x ** 2 / x.size
+
+        _, lam = gocm_update(rho, dF, dG, 0.05, target, volumes, physical_map=cube)
+        passes.clear()
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes, physical_map=cube, lam_seed=lam)
+        assert abs(np.mean(new ** 3) - target) <= 1e-6
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("E0", [1e-80, 1e80])
+    def test_multiplier_search_ignores_the_sensitivity_scale(self, E0):
+        rng = np.random.default_rng(5)
+        rho = rng.uniform(0.1, 0.9, 50)
+        volumes = np.ones(50)
+        dG = volumes / volumes.sum()
+        dF = -rng.uniform(0.1, 5.0, 50) * dG / E0
+        target = float(rho.mean()) - 0.02
+        new, lam = gocm_update(rho, dF, dG, 0.05, target, volumes)
+        assert abs(new.mean() - target) <= 1e-6
+        assert 1e-60 < lam * E0 < 1e60
 
     def test_rejects_positive_objective_gradient(self):
         with pytest.raises(ValueError):
@@ -295,7 +340,8 @@ class TestRunOptimization:
         assert all(a <= b for a, b in zip(hats, hats[1:]))
         assert all(a <= b for a, b in zip(bars, bars[1:]))
 
-    def test_volume_search_needs_few_forward_passes(self, monkeypatch):
+    @staticmethod
+    def search_passes_per_update(monkeypatch, cfg):
         counts = {"passes": 0, "updates": 0}
         forward, update = optimizer.forward, optimizer.gocm_update
 
@@ -309,10 +355,26 @@ class TestRunOptimization:
 
         monkeypatch.setattr(optimizer, "gocm_update", counted_update)
         monkeypatch.setattr(optimizer, "forward", counted_forward)
-        result = run_optimization(build_problem(RunConfig(nx=20, ny=10)))
+        result = run_optimization(build_problem(cfg))
         # every iteration and the final analysis run one forward pass outside the search
-        search_passes = counts["passes"] - result.iterations - 1
-        assert search_passes / counts["updates"] <= 8
+        return (counts["passes"] - result.iterations - 1) / counts["updates"]
+
+    def test_volume_search_needs_few_forward_passes(self, monkeypatch):
+        assert self.search_passes_per_update(monkeypatch, RunConfig(nx=20, ny=10)) <= 4
+
+    def test_steepest_projection_needs_few_forward_passes(self, monkeypatch):
+        # the black-white projection at beta_bar = 25 is the chain's steepest map
+        cfg = RunConfig(nx=20, ny=10, penalized_reference=True)
+        assert self.search_passes_per_update(monkeypatch, cfg) <= 4
+
+    @pytest.mark.parametrize("E0", [1e-80, 1e80])
+    def test_volume_target_reached_at_any_stiffness_scale(self, E0):
+        cfg = RunConfig(nx=8, ny=4, max_iters=60)
+        reference = run_optimization(build_problem(cfg))
+        result = run_optimization(build_problem(cfg.replace(E0=E0)))
+        assert abs(reference.vol_frac - 0.3) < 1e-3
+        assert abs(result.vol_frac - reference.vol_frac) < 1e-6
+        assert result.compliance * E0 == pytest.approx(reference.compliance, rel=1e-6)
 
     def test_toy_problem_matches_exhaustive_search(self):
         cfg, setup = toy_setup()
