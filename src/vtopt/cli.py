@@ -138,7 +138,7 @@ def main(argv=None) -> int:
         if args.command == "profile":
             return _cmd_profile(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, GeometryError) as err:
+    except (ConfigError, GeometryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, StructuralError) as err:

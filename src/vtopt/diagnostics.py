@@ -147,9 +147,7 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
         solution = fem.assemble_and_solve(grid, setup.bc, chain.rho_physical, cfg.p_max,
                                           cfg.rho_low, setup.material,
                                           interpolation=setup.interpolation, solver=cfg.solver)
-        E = fem.interpolate_modulus(chain.rho_physical.values, cfg.p_max, cfg.rho_low,
-                                    setup.material, setup.interpolation)
-        return E, solution.u[edof]
+        return solution.moduli, solution.u[edof]
 
     probes = rng.choice(grid.n_elements, size=min(n_probe, grid.n_elements), replace=False)
     worst = 0.0

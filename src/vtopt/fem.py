@@ -9,10 +9,11 @@ reference mode).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpbtrf
 
 from .errors import NumericalError, StaleStateError, StructuralError
 from .grid import ElementField, StructuredGrid
@@ -31,21 +32,34 @@ class MaterialModel:
     rho_min: float = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryConditions:
-    """Fixed dofs as (node, axis) pairs and point loads as (node, axis, value)."""
+    """Fixed dofs as (node, axis) pairs and point loads as (node, axis, value).
 
-    fixed: list[tuple[int, int]]
-    loads: list[tuple[int, int, float]]
+    Immutable: the sorted fixed dofs and the band-pattern key derived from them
+    are computed once, at construction.
+    """
+
+    fixed: tuple[tuple[int, int], ...]
+    loads: tuple[tuple[int, int, float], ...]
+    _fixed_dofs: np.ndarray = field(init=False, repr=False, compare=False)
+    pattern_key: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.fixed_dofs()) < 3:
+        object.__setattr__(self, "fixed", tuple(map(tuple, self.fixed)))
+        object.__setattr__(self, "loads", tuple(map(tuple, self.loads)))
+        dofs = np.unique(np.array([2 * n + a for n, a in self.fixed], dtype=np.int64))
+        dofs.setflags(write=False)
+        object.__setattr__(self, "_fixed_dofs", dofs)
+        object.__setattr__(self, "pattern_key", dofs.tobytes())
+        if dofs.size < 3:
             raise StructuralError("at least 3 independent fixed dofs are required")
         if not any(v != 0.0 for _, _, v in self.loads):
             raise StructuralError("load vector is zero")
 
     def fixed_dofs(self) -> np.ndarray:
-        return np.unique([2 * n + a for n, a in self.fixed])
+        """Sorted global indices of the fixed dofs; read-only, the same array on every call."""
+        return self._fixed_dofs
 
     def load_vector(self, n_dofs: int) -> np.ndarray:
         f = np.zeros(n_dofs)
@@ -56,12 +70,16 @@ class BoundaryConditions:
 
 @dataclass
 class StateSolution:
-    """Displacements and compliance of one state solve, pinned to a field revision."""
+    """Displacements and compliance of one state solve, pinned to a field revision.
+
+    ``moduli`` are the element Young's moduli the solve assembled K from.
+    """
 
     u: np.ndarray
     compliance: float
     field_revision: int
     residual: float
+    moduli: np.ndarray
 
 
 def penalize_thin(rho, p: float, rho_low: float):
@@ -192,8 +210,7 @@ class BandPattern:
 
 def band_pattern(grid: StructuredGrid, bc: BoundaryConditions) -> BandPattern:
     """The K_ff band pattern of a grid size and fixed-dof set, built on first use and cached."""
-    fixed = bc.fixed_dofs().astype(np.int64)
-    return _band_pattern(grid.nx, grid.ny, fixed.tobytes())
+    return _band_pattern(grid.nx, grid.ny, bc.pattern_key)
 
 
 @functools.lru_cache(maxsize=8)
@@ -227,7 +244,15 @@ class BandCholesky:
     nnz: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dpbtrs(self.factor, rhs, lower=1)[0]
+        """x with L L^T x = rhs, by the two triangular solves LAPACK dpbtrs makes.
+
+        L y = rhs is zero above rhs's first nonzero entry, so the forward solve
+        starts there, on the trailing block of L.
+        """
+        first = int((rhs != 0.0).argmax())
+        k = self.factor.shape[0] - 1
+        y = dtbsv(k, self.factor[:, first:], rhs, offx=first, lower=1)
+        return dtbsv(k, self.factor, y, lower=1, trans=1, overwrite_x=1)
 
 
 def splu(ab: np.ndarray) -> BandCholesky:
@@ -321,7 +346,7 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
 
     compliance = float(f @ u)
     return StateSolution(u=u, compliance=compliance,
-                         field_revision=rho_physical.revision, residual=residual)
+                         field_revision=rho_physical.revision, residual=residual, moduli=E)
 
 
 def compliance_sensitivity(grid: StructuredGrid, solution: StateSolution,

@@ -36,7 +36,8 @@ class ElementField:
             raise ValueError(f"element field must be one-dimensional, got shape {values.shape}")
         if stage not in STAGES:
             raise ValueError(f"unknown field stage {stage!r}, expected one of {STAGES}")
-        if values.size and (np.isnan(values).any() or (values < 0.0).any() or (values > 1.0).any()):
+        # a NaN fails both comparisons
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("density values must lie in [0, 1]")
         values.setflags(write=False)
         self.values = values

@@ -14,6 +14,8 @@ transformed back.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NumericalError
@@ -25,17 +27,28 @@ RADIUS_TO_LENGTH = 1.0 / (2.0 * np.sqrt(3.0))
 CLAMP_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=16)
 def _path_eigenvalues(n: int) -> np.ndarray:
-    """Eigenvalues of the graph Laplacian of a path of n cells (zero-flux ends)."""
-    return 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+    """Eigenvalues of the graph Laplacian of a path of n cells (zero-flux ends).
+
+    Cached per n; the returned array is read-only.
+    """
+    eigenvalues = 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+    eigenvalues.setflags(write=False)
+    return eigenvalues
 
 
+@functools.lru_cache(maxsize=16)
 def _cosine_basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix; row k is the eigenvector of eigenvalue k above."""
+    """Orthonormal DCT-II matrix; row k is the eigenvector of eigenvalue k above.
+
+    Cached per n; the returned array is read-only.
+    """
     # angle pi k (2i + 1) / (2n), reduced mod 2 pi in integers to keep cos accurate
     phase = (np.arange(n)[:, None] * (2 * np.arange(n) + 1)) % (4 * n)
     basis = np.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
     basis[0] = np.sqrt(1.0 / n)
+    basis.setflags(write=False)
     return basis
 
 

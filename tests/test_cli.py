@@ -156,6 +156,14 @@ class TestCliVerbs:
         assert err.count("\n") == 1 and key in err
         assert not (tmp_path / "out").exists()
 
+    def test_value_error_in_a_run_exits_one_without_a_traceback(self, tmp_path, capsys):
+        # at this stiffness scale the element energies overflow and the densities turn NaN
+        cfg = write_cfg(tmp_path, "nx = 8\nny = 4\nmax_iters = 60\nE0 = 1e-300\n"
+                        f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 

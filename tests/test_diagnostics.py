@@ -221,6 +221,15 @@ class TestGradientCheck:
         gradient_check(RunConfig(nx=8, ny=4, h=0.25, seed=6), n_probe=n_probe)
         assert len(factored) == 1 + 2 * n_probe
 
+    @pytest.mark.parametrize("n_probe", [1, 5])
+    def test_interpolates_the_moduli_once_per_solve(self, monkeypatch, n_probe):
+        calls = []
+        interpolate = fem.interpolate_modulus
+        monkeypatch.setattr(fem, "interpolate_modulus",
+                            lambda *a, **k: calls.append(1) or interpolate(*a, **k))
+        gradient_check(RunConfig(nx=8, ny=4, h=0.25, seed=6), n_probe=n_probe)
+        assert len(calls) == 1 + 2 * n_probe
+
     @pytest.mark.parametrize("kwargs,flag", [(dict(n_probe=0), "--probes"),
                                              (dict(fd_step=0.0), "--fd-step"),
                                              (dict(fd_step=0.2), "--fd-step")])

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse import coo_matrix
 
 from vtopt import fem
@@ -145,6 +148,25 @@ class TestBoundaryConditions:
         with pytest.raises(StructuralError):
             BoundaryConditions(fixed=[(0, 0), (0, 1), (1, 1)], loads=[(3, 1, 0.0)])
 
+    def test_fixed_dofs_are_one_read_only_array(self):
+        grid = StructuredGrid(8, 4, 0.25)
+        bc = cantilever_bc(grid)
+        dofs = bc.fixed_dofs()
+        assert dofs is bc.fixed_dofs()
+        assert not dofs.flags.writeable
+        left_edge = 2 * (grid.nx + 1) * np.arange(grid.ny + 1)
+        np.testing.assert_array_equal(dofs, np.ravel(left_edge[:, None] + [0, 1]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bc.fixed = ((0, 0),)
+
+    def test_pairs_are_stored_as_tuples(self):
+        fixed, loads = [[0, 0], [0, 1], [1, 1]], [[3, 1, -1.0]]
+        bc = BoundaryConditions(fixed=fixed, loads=loads)
+        fixed.append([2, 0])
+        assert bc.fixed == ((0, 0), (0, 1), (1, 1))
+        assert bc.loads == ((3, 1, -1.0),)
+        np.testing.assert_array_equal(bc.fixed_dofs(), [0, 1, 3])
+
     def test_singular_system_is_a_structural_error(self):
         grid = StructuredGrid(3, 2, 1.0)
         # only x-direction dofs fixed: rigid vertical translation remains
@@ -224,6 +246,19 @@ class TestFreeStiffnessPattern:
         factor = fem.splu(pattern.band(np.ones(grid.n_elements), element_stiffness(0.3)))
         assert factor.nnz == pattern.free.size * (pattern.bandwidth + 1)
 
+    @pytest.mark.parametrize("first", [0, 1, 57, -1])
+    def test_solve_from_the_first_nonzero_row_matches_dpbtrs(self, first):
+        grid = StructuredGrid(7, 12, 0.5)
+        pattern = band_pattern(grid, cantilever_bc(grid))
+        E = np.random.default_rng(11).uniform(1e-3, 1.0, grid.n_elements)
+        factor = fem.splu(pattern.band(E, element_stiffness(0.3)))
+        rhs = np.random.default_rng(12).normal(size=pattern.free.size)
+        rhs[:first % rhs.size] = 0.0
+        kept = rhs.copy()
+        x = factor.solve(rhs)
+        assert np.array_equal(x, dpbtrs(factor.factor, rhs, lower=1)[0])
+        assert np.array_equal(rhs, kept)
+
     def test_pattern_is_cached_per_grid_size_and_fixed_dofs(self):
         grid = StructuredGrid(8, 4, 0.25)
         same_size = StructuredGrid(8, 4, 1.0)
@@ -253,8 +288,10 @@ class TestAssembleAndSolve:
         rng = np.random.default_rng(7)
         field = ElementField(rng.uniform(0.2, 1.0, grid.n_elements), "physical")
         sol = assemble_and_solve(grid, bc, field, 3.0, 0.1, mat)
-        _, expected = dense_solve(grid, bc, interpolate_modulus(field.values, 3.0, 0.1, mat), mat.nu)
+        E = interpolate_modulus(field.values, 3.0, 0.1, mat)
+        _, expected = dense_solve(grid, bc, E, mat.nu)
         assert sol.compliance == pytest.approx(expected, rel=1e-10)
+        assert np.array_equal(sol.moduli, E)
 
     def test_doubling_modulus_halves_compliance(self):
         grid = StructuredGrid(3, 2, 1.0)
@@ -362,7 +399,8 @@ class TestComplianceSensitivity:
         rng = np.random.default_rng(8)
         field = ElementField(rng.uniform(0.0, 1.0, grid.n_elements), "physical")
         solution = fem.StateSolution(u=rng.normal(size=2 * grid.n_nodes), compliance=0.0,
-                                     field_revision=field.revision, residual=0.0)
+                                     field_revision=field.revision, residual=0.0,
+                                     moduli=interpolate_modulus(field.values, 3.0, 0.1, mat))
         grad = compliance_sensitivity(grid, solution, field, 3.0, 0.1, mat)
         ue = solution.u[element_dof_map(grid)]
         energies = np.einsum("ij,jk,ik->i", ue, element_stiffness(mat.nu), ue)

@@ -140,10 +140,15 @@ class TestElementField:
         b = ElementField([0.1], "raw")
         assert a.revision != b.revision
 
-    @pytest.mark.parametrize("values", [[-0.01], [1.01], [np.nan]])
+    @pytest.mark.parametrize("values", [[-0.01], [1.01], [np.nan], [np.inf], [-np.inf],
+                                        [0.5, np.nan]])
     def test_rejects_out_of_range(self, values):
         with pytest.raises(ValueError):
             ElementField(values, "raw")
+
+    def test_accepts_signed_zero_and_both_bounds(self):
+        f = ElementField([-0.0, 0.0, 1.0], "raw")
+        np.testing.assert_array_equal(f.values, [0.0, 0.0, 1.0])
 
     def test_rejects_unknown_stage(self):
         with pytest.raises(ValueError):

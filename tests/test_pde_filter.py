@@ -41,6 +41,12 @@ class TestBuildFilter:
         x = rng.uniform(0, 1, grid.n_elements)
         assert np.allclose(filt.apply(x), x, atol=1e-12)
 
+    def test_bases_are_shared_per_size_and_read_only(self):
+        a = DensityFilter(StructuredGrid(8, 4, 0.25), 0.375)
+        b = DensityFilter(StructuredGrid(4, 8, 1.0), 2.0)
+        assert a._basis_x is b._basis_y and a._basis_y is b._basis_x
+        assert not a._basis_x.flags.writeable and not a._basis_y.flags.writeable
+
     def test_single_cell_identity(self):
         grid = StructuredGrid(1, 1, 1.0)
         filt = DensityFilter(grid, 0.5)
