@@ -14,16 +14,15 @@ VOID_THRESHOLD = 0.001   # densities at or below this count as acceptable void
 MAX_FD_STEP = 0.01       # keeps the probes in [0, 1] and most of the probe range off the kink
 
 
-def low_thickness_fraction(rho_physical, volumes, rho_low: float,
-                           void_threshold: float = VOID_THRESHOLD) -> float:
-    """Volume share of material sitting in the undesired band (void_threshold, rho_low).
+def low_thickness_fraction(rho_physical, volumes, rho_low: float) -> float:
+    """Volume share of material sitting in the undesired band (VOID_THRESHOLD, rho_low).
 
     The denominator is all material above the void threshold; an all-void field
     returns 0.
     """
     rho = rho_physical.values if isinstance(rho_physical, ElementField) else np.asarray(rho_physical, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
-    material = rho > void_threshold
+    material = rho > VOID_THRESHOLD
     undesired = material & (rho < rho_low)
     material_volume = float(np.sum(volumes[material]))
     if material_volume == 0.0:

@@ -65,8 +65,8 @@ def write_field_pgm(path, grid: StructuredGrid, values: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_vtk(path, grid: StructuredGrid, values: np.ndarray, name: str = "thickness") -> None:
-    """Legacy ASCII structured-points file with one cell scalar."""
+def write_vtk(path, grid: StructuredGrid, values: np.ndarray) -> None:
+    """Legacy ASCII structured-points file with the thickness as its one cell scalar."""
     values = np.asarray(values, dtype=float)
     lines = [
         "# vtk DataFile Version 3.0",
@@ -74,10 +74,10 @@ def write_vtk(path, grid: StructuredGrid, values: np.ndarray, name: str = "thick
         "ASCII",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} 1",
-        f"ORIGIN {_fmt(grid.origin[0])} {_fmt(grid.origin[1])} 0",
+        "ORIGIN 0 0 0",
         f"SPACING {_fmt(grid.h)} {_fmt(grid.h)} {_fmt(grid.h)}",
         f"CELL_DATA {grid.n_elements}",
-        f"SCALARS {name} double 1",
+        "SCALARS thickness double 1",
         "LOOKUP_TABLE default",
     ]
     lines.extend(_fmt(v) for v in values)

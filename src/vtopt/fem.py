@@ -287,11 +287,11 @@ def cantilever_bc(grid: StructuredGrid, clamp_edge: str = "left",
     fixed = [(n, a) for n in clamp_nodes for a in (0, 1)]
 
     if load_x is None:
-        load_x = grid.origin[0] + nx * h
+        load_x = nx * h
     if load_y is None:
-        load_y = grid.origin[1] + ny * h / 2.0
-    li = int(np.clip(round((load_x - grid.origin[0]) / h), 0, nx))
-    lj = int(np.clip(round((load_y - grid.origin[1]) / h), 0, ny))
+        load_y = ny * h / 2.0
+    li = int(np.clip(round(load_x / h), 0, nx))
+    lj = int(np.clip(round(load_y / h), 0, ny))
     node = grid.node_index(li, lj)
     loads = []
     if load_fx != 0.0:

@@ -69,14 +69,13 @@ class NeighborTable:
 class StructuredGrid:
     """Fixed rectangular grid of nx-by-ny square elements of edge length h.
 
-    Element e = j*nx + i sits at center origin + ((i+0.5)h, (j+0.5)h);
-    node n = j*(nx+1) + i. Immutable after construction.
+    The lower-left corner is the origin. Element e = j*nx + i sits at center
+    ((i+0.5)h, (j+0.5)h); node n = j*(nx+1) + i. Immutable after construction.
     """
 
     nx: int
     ny: int
     h: float
-    origin: tuple[float, float] = (0.0, 0.0)
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,21 +124,18 @@ class StructuredGrid:
     def element_centers(self) -> np.ndarray:
         """(n_elements, 2) array of element center coordinates."""
         e = np.arange(self.n_elements)
-        x = self.origin[0] + (e % self.nx + 0.5) * self.h
-        y = self.origin[1] + (e // self.nx + 0.5) * self.h
+        x = (e % self.nx + 0.5) * self.h
+        y = (e // self.nx + 0.5) * self.h
         return np.column_stack([x, y])
 
     def element_at(self, x: float, y: float) -> int:
         """Element containing point (x, y); points on the upper/right boundary clamp inward."""
-        fx = (x - self.origin[0]) / self.h
-        fy = (y - self.origin[1]) / self.h
-        i = min(max(int(math.floor(fx)), 0), self.nx - 1)
-        j = min(max(int(math.floor(fy)), 0), self.ny - 1)
+        i = min(max(int(math.floor(x / self.h)), 0), self.nx - 1)
+        j = min(max(int(math.floor(y / self.h)), 0), self.ny - 1)
         return self.element_index(i, j)
 
     def contains_point(self, x: float, y: float) -> bool:
-        return (self.origin[0] <= x <= self.origin[0] + self.width
-                and self.origin[1] <= y <= self.origin[1] + self.height)
+        return 0 <= x <= self.width and 0 <= y <= self.height
 
     def neighbor_table(self, r: float) -> NeighborTable:
         """Cached table of center-to-center neighborhoods of radius max(r, 1.5h)."""

@@ -5,8 +5,10 @@ scaled by the square root of its sensitivity ratio, capped by a geometrically
 decaying move limit, with a Lagrange multiplier found by a safeguarded Newton
 search in log(lambda) until the resulting physical volume fraction hits the
 target. The penalty exponent and the two projection sharpness parameters
-ramp geometrically, by default sequentially (sharpness ramps start once the
-penalty exponent is maxed out).
+ramp geometrically from the problem's continuation_start to its
+continuation_end, by default sequentially (sharpness ramps start once the
+penalty exponent is maxed out). build_problem decides which ramps a mode
+uses; an inactive ramp ends where it starts, so it never moves.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .projections import (NeighborhoodStats, ProjectionParams, RegularizedChain,
                           regularize_chain)
 
 if TYPE_CHECKING:
+    from .config import RunConfig
     from .problem import ProblemSetup
 
 RATIO_FLOOR = 1e-10      # floor on the sensitivity ratio inside the update
@@ -36,60 +39,26 @@ MAX_ROOT_STEPS = 100     # budget of volume evaluations per multiplier search
 
 
 @dataclass(frozen=True)
-class ContinuationSchedule:
-    """Geometric ramp rates and limits for the penalty and projection sharpness."""
-
-    p_init: float = 1.0
-    p_max: float = 3.0
-    c_p: float = 1.03
-    beta_hat_init: float = 0.1
-    beta_hat_max: float = 10.0
-    c_beta_hat: float = 1.05
-    beta_bar_init: float = 1.0
-    beta_bar_max: float = 25.0
-    c_beta_bar: float = 1.05
-    mode: str = "sequential"
-
-
-@dataclass(frozen=True)
 class ContinuationState:
-    """Current continuation values plus which ramps are active for this run."""
+    """Penalty exponent and projection sharpness of one iteration."""
 
     p: float
     beta_hat: float
     beta_bar: float
-    p_active: bool = True
-    beta_hat_active: bool = True
-    beta_bar_active: bool = True
-
-    @classmethod
-    def initial(cls, sched: ContinuationSchedule, p_active=True, beta_hat_active=True,
-                beta_bar_active=True) -> "ContinuationState":
-        return cls(p=sched.p_init if p_active else 1.0,
-                   beta_hat=sched.beta_hat_init,
-                   beta_bar=sched.beta_bar_init,
-                   p_active=p_active, beta_hat_active=beta_hat_active,
-                   beta_bar_active=beta_bar_active)
-
-    def complete(self, sched: ContinuationSchedule) -> bool:
-        return ((not self.p_active or self.p == sched.p_max)
-                and (not self.beta_hat_active or self.beta_hat == sched.beta_hat_max)
-                and (not self.beta_bar_active or self.beta_bar == sched.beta_bar_max))
 
 
-def update_continuation(sched: ContinuationSchedule, state: ContinuationState) -> ContinuationState:
-    """One continuation step; in sequential mode sharpness ramps wait for the penalty."""
-    ramp_p = state.p_active and state.p < sched.p_max
-    if sched.mode == "sequential" and ramp_p:
-        return replace(state, p=min(sched.c_p * state.p, sched.p_max))
-    changes = {}
-    if ramp_p:
-        changes["p"] = min(sched.c_p * state.p, sched.p_max)
-    if state.beta_hat_active and state.beta_hat < sched.beta_hat_max:
-        changes["beta_hat"] = min(sched.c_beta_hat * state.beta_hat, sched.beta_hat_max)
-    if state.beta_bar_active and state.beta_bar < sched.beta_bar_max:
-        changes["beta_bar"] = min(sched.c_beta_bar * state.beta_bar, sched.beta_bar_max)
-    return replace(state, **changes) if changes else state
+def update_continuation(cfg: "RunConfig", state: ContinuationState,
+                        end: ContinuationState) -> ContinuationState:
+    """One geometric continuation step toward end at the config's rates.
+
+    In sequential mode the sharpness ramps wait until the penalty reaches its
+    end. Every rate exceeds 1, so a ramp that ends where it starts stays put.
+    """
+    p = min(cfg.c_p * state.p, end.p)
+    if cfg.continuation_mode == "sequential" and state.p < end.p:
+        return replace(state, p=p)
+    return ContinuationState(p=p, beta_hat=min(cfg.c_beta_hat * state.beta_hat, end.beta_hat),
+                             beta_bar=min(cfg.c_beta_bar * state.beta_bar, end.beta_bar))
 
 
 @dataclass
@@ -263,18 +232,12 @@ def run_optimization(setup: "ProblemSetup",
                      ) -> RunResult:
     """Iterate solve -> sensitivities -> update -> continuation until converged.
 
-    Convergence requires both the mean density change below tolerance and all
-    active continuation parameters at their maxima.
+    Convergence requires both the mean density change below tolerance and the
+    continuation at its end.
     """
     grid, cfg = setup.grid, setup.config
     volumes = grid.element_volumes()
-    sched = setup.schedule
-    state = ContinuationState.initial(
-        sched,
-        p_active=setup.simp_ramp,
-        beta_hat_active=setup.dgi_enabled,
-        beta_bar_active=setup.projection != "none",
-    )
+    state, end = setup.continuation_start, setup.continuation_end
 
     rho = np.full(grid.n_elements, cfg.rho_init)
     step = cfg.step_init
@@ -318,13 +281,13 @@ def run_optimization(setup: "ProblemSetup",
             callback(record, chain, rho)
 
         rho = rho_new
-        if drho < cfg.tol_drho and state.complete(sched):
+        if drho < cfg.tol_drho and state == end:
             converged = True
             break
-        state = update_continuation(sched, state)
+        state = update_continuation(cfg, state, end)
         step = max(step * cfg.step_decay, cfg.step_min)
 
-    # final analysis of the accepted design with the last active parameters
+    # final analysis of the accepted design at the last continuation state
     chain, solution, _ = evaluate(setup, rho, state)
     return RunResult(
         raw=ElementField(rho, "raw"),

@@ -1,4 +1,4 @@
-"""Assembles grid, boundary conditions, filter, and schedules from a RunConfig."""
+"""Assembles grid, boundary conditions, filter, and continuation ramps from a RunConfig."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .fem import BoundaryConditions, MaterialModel, cantilever_bc
 from .grid import StructuredGrid
-from .optimizer import ContinuationSchedule
+from .optimizer import ContinuationState
 from .pde_filter import DensityFilter
 
 
@@ -18,12 +18,12 @@ class ProblemSetup:
     bc: BoundaryConditions
     material: MaterialModel
     filter: DensityFilter
-    schedule: ContinuationSchedule
     dgi_radius: float
     interpolation: str    # "selective" or "global" modulus interpolation
-    simp_ramp: bool       # whether the penalty exponent is continued
     projection: str       # final map in the chain: low_thickness / black_white / none
     dgi_enabled: bool
+    continuation_start: ContinuationState
+    continuation_end: ContinuationState   # an inactive ramp ends where it starts
 
 
 def build_problem(cfg: RunConfig) -> ProblemSetup:
@@ -32,12 +32,6 @@ def build_problem(cfg: RunConfig) -> ProblemSetup:
                        load_fx=cfg.load_fx, load_fy=cfg.load_fy)
     material = MaterialModel(E0=cfg.E0, nu=cfg.nu, rho_min=cfg.rho_min)
     filt = DensityFilter(grid, cfg.filter_radius)
-    schedule = ContinuationSchedule(
-        p_init=cfg.p_init, p_max=cfg.p_max, c_p=cfg.c_p,
-        beta_hat_init=cfg.beta_hat_init, beta_hat_max=cfg.beta_hat_max, c_beta_hat=cfg.c_beta_hat,
-        beta_bar_init=cfg.beta_bar_init, beta_bar_max=cfg.beta_bar_max, c_beta_bar=cfg.c_beta_bar,
-        mode=cfg.continuation_mode,
-    )
     if cfg.penalized_reference:
         # reference mode: standard penalized optimization with the plain
         # black-white projection instead of the thin-density treatment
@@ -46,16 +40,22 @@ def build_problem(cfg: RunConfig) -> ProblemSetup:
         projection = "low_thickness"
     else:
         projection = "none"
+    simp = cfg.lt_simp or cfg.penalized_reference
+    start = ContinuationState(p=cfg.p_init if simp else 1.0, beta_hat=cfg.beta_hat_init,
+                              beta_bar=cfg.beta_bar_init)
+    end = ContinuationState(p=cfg.p_max if simp else 1.0,
+                            beta_hat=cfg.beta_hat_max if cfg.dgi else cfg.beta_hat_init,
+                            beta_bar=cfg.beta_bar_max if projection != "none" else cfg.beta_bar_init)
     return ProblemSetup(
         config=cfg,
         grid=grid,
         bc=bc,
         material=material,
         filter=filt,
-        schedule=schedule,
         dgi_radius=cfg.filter_radius if cfg.dgi_radius is None else cfg.dgi_radius,
         interpolation="global" if cfg.penalized_reference else "selective",
-        simp_ramp=cfg.lt_simp or cfg.penalized_reference,
         projection=projection,
         dgi_enabled=cfg.dgi,
+        continuation_start=start,
+        continuation_end=end,
     )

@@ -20,7 +20,7 @@ import vtopt
 from vtopt.diagnostics import line_profile, transition_width
 from vtopt.fem import element_dof_map, element_stiffness, interpolate_modulus
 from vtopt.grid import StructuredGrid
-from vtopt.optimizer import ContinuationSchedule, update_continuation
+from vtopt.optimizer import update_continuation
 from vtopt.pde_filter import DensityFilter
 from vtopt.projections import (NeighborhoodStats, dgi_project, lt_project, neighborhood_stats,
                                smoothed_heaviside)
@@ -184,11 +184,12 @@ class TestQuantitative:
                   f"need b10 <= 0.5*none, b25 <= b10, none >= {bound:.3f}")
 
     def test_criterion_6_continuation_timing(self):
-        sched = ContinuationSchedule(c_p=1.03)
-        state = vtopt.ContinuationState.initial(sched)
+        cfg = vtopt.RunConfig(c_p=1.03)
+        setup = vtopt.build_problem(cfg)
+        state, end = setup.continuation_start, setup.continuation_end
         updates = 0
-        while state.p < sched.p_max:
-            state = update_continuation(sched, state)
+        while state.p < end.p:
+            state = update_continuation(cfg, state, end)
             updates += 1
         criterion(6, updates == 38, f"penalty exponent reaches 3 after {updates} updates (want 38)")
 

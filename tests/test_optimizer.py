@@ -7,91 +7,114 @@ from vtopt import optimizer
 from vtopt.config import RunConfig
 from vtopt.fem import MaterialModel, cantilever_bc, element_dof_map, element_stiffness, interpolate_modulus
 from vtopt.grid import StructuredGrid
-from vtopt.optimizer import (ContinuationSchedule, ContinuationState, delta_rho_mean, gocm_update,
-                             run_optimization, update_continuation)
+from vtopt.optimizer import (ContinuationState, delta_rho_mean, gocm_update, run_optimization,
+                             update_continuation)
 from vtopt.problem import build_problem
 
 
-class TestContinuationSchedule:
-    def test_defaults_valid(self):
-        ContinuationSchedule()
+def ramps(**changes):
+    """Config plus the continuation start and end that build_problem resolves for it."""
+    cfg = RunConfig(**changes)
+    setup = build_problem(cfg)
+    return cfg, setup.continuation_start, setup.continuation_end
 
 
 class TestUpdateContinuation:
     def test_clamped_at_max_forever(self):
-        sched = ContinuationSchedule()
+        cfg, _, end = ramps()
         state = ContinuationState(p=3.0, beta_hat=10.0, beta_bar=25.0)
         for _ in range(10):
-            state = update_continuation(sched, state)
+            state = update_continuation(cfg, state, end)
         assert state.p == 3.0
         assert state.beta_hat == 10.0
         assert state.beta_bar == 25.0
 
     def test_penalty_reaches_max_after_38_updates(self):
-        sched = ContinuationSchedule(c_p=1.03)
-        state = ContinuationState.initial(sched)
+        cfg, state, end = ramps(c_p=1.03)
         updates = 0
-        while state.p < sched.p_max:
-            state = update_continuation(sched, state)
+        while state.p < end.p:
+            state = update_continuation(cfg, state, end)
             updates += 1
         assert updates == 38
         assert state.p == 3.0
 
     def test_sharpness_ramp_counts(self):
-        sched = ContinuationSchedule(c_beta_hat=1.05, beta_hat_init=0.1, beta_hat_max=10.0,
-                                     c_beta_bar=1.05, beta_bar_max=25.0)
+        cfg, _, end = ramps(c_beta_hat=1.05, beta_hat_init=0.1, beta_hat_max=10.0,
+                            c_beta_bar=1.05, beta_bar_max=25.0)
         state = ContinuationState(p=3.0, beta_hat=0.1, beta_bar=1.0)
         hat_updates = 0
-        while state.beta_hat < sched.beta_hat_max:
-            state = update_continuation(sched, state)
+        while state.beta_hat < end.beta_hat:
+            state = update_continuation(cfg, state, end)
             hat_updates += 1
         assert hat_updates == 95
         # beta_bar hits 25 after ceil(ln 25 / ln 1.05) = 66 updates, already done here
         assert state.beta_bar == 25.0
 
     def test_sequential_betas_wait_for_penalty(self):
-        sched = ContinuationSchedule()
-        state = ContinuationState.initial(sched)
+        cfg, state, end = ramps()
         for _ in range(10):
-            state = update_continuation(sched, state)
-            assert state.beta_hat == sched.beta_hat_init
-            assert state.beta_bar == sched.beta_bar_init
-        while state.p < sched.p_max:
-            state = update_continuation(sched, state)
-        assert state.beta_hat == sched.beta_hat_init
-        state = update_continuation(sched, state)
-        assert state.beta_hat > sched.beta_hat_init
-        assert state.beta_bar > sched.beta_bar_init
+            state = update_continuation(cfg, state, end)
+            assert state.beta_hat == cfg.beta_hat_init
+            assert state.beta_bar == cfg.beta_bar_init
+        while state.p < end.p:
+            state = update_continuation(cfg, state, end)
+        assert state.beta_hat == cfg.beta_hat_init
+        state = update_continuation(cfg, state, end)
+        assert state.beta_hat > cfg.beta_hat_init
+        assert state.beta_bar > cfg.beta_bar_init
 
     def test_simultaneous_mode_ramps_everything(self):
-        sched = ContinuationSchedule(mode="simultaneous")
-        state = ContinuationState.initial(sched)
-        state = update_continuation(sched, state)
-        assert state.p > sched.p_init
-        assert state.beta_hat > sched.beta_hat_init
-        assert state.beta_bar > sched.beta_bar_init
+        cfg, state, end = ramps(continuation_mode="simultaneous")
+        state = update_continuation(cfg, state, end)
+        assert state.p > cfg.p_init
+        assert state.beta_hat > cfg.beta_hat_init
+        assert state.beta_bar > cfg.beta_bar_init
 
     def test_inactive_penalty_lets_betas_start_immediately(self):
-        sched = ContinuationSchedule()
-        state = ContinuationState.initial(sched, p_active=False)
-        state = update_continuation(sched, state)
+        cfg, state, end = ramps(lt_simp=False)
+        state = update_continuation(cfg, state, end)
         assert state.p == 1.0
-        assert state.beta_hat > sched.beta_hat_init
+        assert state.beta_hat > cfg.beta_hat_init
 
     def test_monotone_nondecreasing_sequences(self):
-        sched = ContinuationSchedule()
-        state = ContinuationState.initial(sched)
+        cfg, state, end = ramps()
         prev = state
         for _ in range(250):
-            state = update_continuation(sched, state)
+            state = update_continuation(cfg, state, end)
             assert state.p >= prev.p
             assert state.beta_hat >= prev.beta_hat
             assert state.beta_bar >= prev.beta_bar
-            assert state.p <= sched.p_max
-            assert state.beta_hat <= sched.beta_hat_max
-            assert state.beta_bar <= sched.beta_bar_max
+            assert state.p <= cfg.p_max
+            assert state.beta_hat <= cfg.beta_hat_max
+            assert state.beta_bar <= cfg.beta_bar_max
             prev = state
-        assert state.complete(sched)
+        assert state == end
+
+
+RAMPS = ("p", "beta_hat", "beta_bar")
+MODES = {   # mode config and the ramps it pins at their start
+    "default": ({}, set()),
+    "penalized_reference": ({"penalized_reference": True}, {"beta_hat"}),
+    "dgi_off": ({"dgi": False}, {"beta_hat"}),
+    "lt_projection_off": ({"lt_projection": False}, {"beta_bar"}),
+    "all_off": ({"lt_simp": False, "lt_projection": False, "dgi": False}, set(RAMPS)),
+}
+
+
+@pytest.mark.parametrize("mode, pinned", MODES.values(), ids=MODES)
+class TestContinuationRamps:
+    def test_build_problem_pins_exactly_the_inactive_ramps(self, mode, pinned):
+        _, start, end = ramps(**mode)
+        assert {x for x in RAMPS if getattr(start, x) == getattr(end, x)} == pinned
+        assert all(getattr(start, x) < getattr(end, x) for x in set(RAMPS) - pinned)
+
+    def test_converged_run_ends_at_the_continuation_end(self, mode, pinned):
+        setup = build_problem(RunConfig(nx=8, ny=4, h=0.25, max_iters=400, **mode))
+        result = run_optimization(setup)
+        assert result.converged
+        last = result.history[-1]
+        assert ContinuationState(p=last.p, beta_hat=last.beta_hat,
+                                 beta_bar=last.beta_bar) == setup.continuation_end
 
 
 class TestDeltaRhoMean:
