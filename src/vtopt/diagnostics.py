@@ -114,12 +114,13 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
     u-^T (K(x-h) - K(x+h)) u+ = -sum_e (E+_e - E-_e) u-_e^T k0 u+_e, a sum
     over element moduli that carries the solver's relative error only once.
 
-    The base point goes through the optimizer's own evaluation step, so the
-    check verifies the gradient the run loop uses; a check makes
+    The base point goes through the optimizer's own evaluation step at the
+    continuation state the run ends at (p = 1 without SIMP), so the check
+    verifies the gradient the run loop uses; a check makes
     1 + 2 * n_probe state solves. n_probe must be at least 1 and fd_step in
     (0, MAX_FD_STEP]; the messages name the matching `vtopt gradcheck` flags.
     """
-    from .optimizer import ContinuationState, evaluate, forward
+    from .optimizer import evaluate, forward
     from .problem import build_problem
 
     if n_probe < 1:
@@ -135,7 +136,7 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
         rho[near_kink] = rng.uniform(0.2, 0.9, int(near_kink.sum()))
         near_kink = np.abs(rho - cfg.rho_low) < 5 * fd_step
 
-    state = ContinuationState(p=cfg.p_max, beta_hat=cfg.beta_hat_max, beta_bar=cfg.beta_bar_max)
+    state = setup.continuation_end
     base_chain, _, analytic = evaluate(setup, rho, state)
     k0 = fem.element_stiffness(setup.material.nu)
     edof = fem.element_dof_map(grid)
@@ -143,7 +144,7 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
     def probe(values):
         """Element moduli and element displacements at raw densities `values`."""
         chain = forward(setup, values, state, frozen_stats=base_chain.stats)
-        solution = fem.assemble_and_solve(grid, setup.bc, chain.rho_physical, cfg.p_max,
+        solution = fem.assemble_and_solve(grid, setup.bc, chain.rho_physical, state.p,
                                           cfg.rho_low, setup.material,
                                           interpolation=setup.interpolation, solver=cfg.solver)
         return solution.moduli, solution.u[edof]

@@ -9,6 +9,11 @@ ramp geometrically from the problem's continuation_start to its
 continuation_end, by default sequentially (sharpness ramps start once the
 penalty exponent is maxed out). build_problem decides which ramps a mode
 uses; an inactive ramp ends where it starts, so it never moves.
+
+The search's last trial is the design it accepts. While the next iteration's
+projection sharpness equals the trial's (p never enters the chain), the run
+loop and the final analysis take that trial's chain and volume gradient and
+skip the forward pass.
 """
 
 from __future__ import annotations
@@ -215,16 +220,23 @@ def evaluate(setup: "ProblemSetup", raw: np.ndarray, state: ContinuationState
     """Forward chain, state solve and compliance gradient w.r.t. the raw densities.
 
     The one analysis step: the run loop, the final analysis and the gradient
-    check's base point all call it.
+    check's base point all call it. The run loop skips its forward pass when
+    the volume search has just built the same chain.
     """
     chain = forward(setup, raw, state)
-    solution = assemble_and_solve(setup.grid, setup.bc, chain.rho_physical, state.p,
+    return (chain, *_analyse(setup, chain, state.p))
+
+
+def _analyse(setup: "ProblemSetup", chain: RegularizedChain, p: float
+             ) -> tuple[StateSolution, np.ndarray]:
+    """State solve and compliance gradient w.r.t. the raw densities of a built chain."""
+    solution = assemble_and_solve(setup.grid, setup.bc, chain.rho_physical, p,
                                   setup.config.rho_low, setup.material,
                                   interpolation=setup.interpolation, solver=setup.config.solver)
-    grad_phys = compliance_sensitivity(setup.grid, solution, chain.rho_physical, state.p,
+    grad_phys = compliance_sensitivity(setup.grid, solution, chain.rho_physical, p,
                                        setup.config.rho_low, setup.material,
                                        interpolation=setup.interpolation)
-    return chain, solution, chain_gradient(chain, grad_phys)
+    return solution, chain_gradient(chain, grad_phys)
 
 
 def run_optimization(setup: "ProblemSetup",
@@ -237,6 +249,7 @@ def run_optimization(setup: "ProblemSetup",
     """
     grid, cfg = setup.grid, setup.config
     volumes = grid.element_volumes()
+    vol_grad_phys = volumes / np.sum(volumes)
     state, end = setup.continuation_start, setup.continuation_end
 
     rho = np.full(grid.n_elements, cfg.rho_init)
@@ -244,22 +257,32 @@ def run_optimization(setup: "ProblemSetup",
     lam = 1.0
     history: list[IterationRecord] = []
     converged = False
+    accepted = None   # raw field, (beta_hat, beta_bar), chain and volume gradient of the last trial
+
+    def reusable(raw: np.ndarray, state: ContinuationState) -> bool:
+        """Whether the search's last trial built the chain of raw at state: the search
+        returns its last trial's field, and p never enters the chain."""
+        return (accepted is not None and accepted[0] is raw
+                and accepted[1] == (state.beta_hat, state.beta_bar))
 
     for iteration in range(1, cfg.max_iters + 1):
-        chain, solution, dF = evaluate(setup, rho, state)
-        dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
-
-        vol_grad_phys = volumes / np.sum(volumes)
-        if cfg.volume_on == "physical":
-            dG = chain_gradient(chain, vol_grad_phys)
-
-            def physical_map(raw):
-                trial = forward(setup, raw, state)
-                return trial.rho_physical.values, chain_gradient(trial, vol_grad_phys)
+        if reusable(rho, state):
+            _, _, chain, dG = accepted
+            solution, dF = _analyse(setup, chain, state.p)
         else:
-            dG = vol_grad_phys.copy()
-            physical_map = None
+            chain, solution, dF = evaluate(setup, rho, state)
+            dG = chain_gradient(chain, vol_grad_phys) if cfg.volume_on == "physical" else vol_grad_phys
+        dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
         dG = np.maximum(dG, 1e-300)
+
+        physical_map = None
+        if cfg.volume_on == "physical":
+            def physical_map(raw):
+                nonlocal accepted
+                trial = forward(setup, raw, state)
+                grad = chain_gradient(trial, vol_grad_phys)
+                accepted = (raw, (state.beta_hat, state.beta_bar), trial, grad)
+                return trial.rho_physical.values, grad
 
         rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, volumes,
                                    physical_map=physical_map, lam_seed=lam)
@@ -288,7 +311,11 @@ def run_optimization(setup: "ProblemSetup",
         step = max(step * cfg.step_decay, cfg.step_min)
 
     # final analysis of the accepted design at the last continuation state
-    chain, solution, _ = evaluate(setup, rho, state)
+    if reusable(rho, state):
+        chain = accepted[2]
+        solution, _ = _analyse(setup, chain, state.p)
+    else:
+        chain, solution, _ = evaluate(setup, rho, state)
     return RunResult(
         raw=ElementField(rho, "raw"),
         chain=chain,

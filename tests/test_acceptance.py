@@ -25,6 +25,8 @@ from vtopt.pde_filter import DensityFilter
 from vtopt.projections import (NeighborhoodStats, dgi_project, lt_project, neighborhood_stats,
                                smoothed_heaviside)
 
+pytestmark = pytest.mark.acceptance
+
 GRID = dict(nx=160, ny=80, h=0.125, max_iters=600)
 H = GRID["h"]
 RADII = (0.25, 0.375, 0.5)

@@ -213,6 +213,17 @@ class TestGradientCheck:
         cfg = RunConfig(nx=8, ny=4, h=0.25, seed=6)
         assert gradient_check(cfg, n_probe=8, fd_step=1e-6) == pytest.approx(1e-3, rel=0.01)
 
+    def test_checks_the_penalty_the_run_ends_at(self, monkeypatch):
+        # without SIMP the run ends at p = 1, not at p_max
+        penalties = []
+        for module in (fem, optimizer):
+            solve = module.assemble_and_solve
+            monkeypatch.setattr(module, "assemble_and_solve",
+                                lambda *a, solve=solve, **k: penalties.append(a[3]) or solve(*a, **k))
+        cfg = RunConfig(nx=8, ny=4, h=0.25, lt_simp=False, seed=6)
+        assert gradient_check(cfg, n_probe=3) < 1e-4
+        assert penalties == [1.0] * 7
+
     @pytest.mark.parametrize("n_probe", [1, 5])
     def test_factors_the_base_point_once(self, monkeypatch, n_probe):
         factored = []

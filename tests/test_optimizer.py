@@ -366,21 +366,25 @@ class TestRunOptimization:
     @staticmethod
     def search_passes_per_update(monkeypatch, cfg):
         counts = {"passes": 0, "updates": 0}
+        searching = [False]
         forward, update = optimizer.forward, optimizer.gocm_update
 
         def counted_update(*args, **kwargs):
             counts["updates"] += 1
-            return update(*args, **kwargs)
+            searching[0] = True
+            try:
+                return update(*args, **kwargs)
+            finally:
+                searching[0] = False
 
         def counted_forward(*args, **kwargs):
-            counts["passes"] += 1
+            counts["passes"] += searching[0]
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "gocm_update", counted_update)
         monkeypatch.setattr(optimizer, "forward", counted_forward)
-        result = run_optimization(build_problem(cfg))
-        # every iteration and the final analysis run one forward pass outside the search
-        return (counts["passes"] - result.iterations - 1) / counts["updates"]
+        run_optimization(build_problem(cfg))
+        return counts["passes"] / counts["updates"]
 
     def test_volume_search_needs_few_forward_passes(self, monkeypatch):
         assert self.search_passes_per_update(monkeypatch, RunConfig(nx=20, ny=10)) <= 4
@@ -406,3 +410,61 @@ class TestRunOptimization:
         levels = (0.0, 0.25, 0.5, 0.75, 1.0)
         _, best_rho = exhaustive_search(setup, levels, cfg.vol_frac)
         assert np.abs(result.raw.values - best_rho).max() <= 0.25 + 1e-9
+
+
+MODES = {
+    "default": {},
+    "penalized": dict(penalized_reference=True),
+    "dgi_off": dict(dgi=False),
+    "lt_projection_off": dict(lt_projection=False),
+    "simultaneous": dict(continuation_mode="simultaneous"),
+    "volume_on_raw": dict(volume_on="raw"),
+}
+
+
+class TestSearchTrialReuse:
+    """The run loop analyses the volume search's last trial, the accepted design,
+    instead of rebuilding its chain while the projection sharpness stands still."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reused_chain_equals_a_fresh_one(self, monkeypatch, mode):
+        setup = build_problem(RunConfig(nx=16, ny=8, **MODES[mode]))
+        forward, evaluate, update = optimizer.forward, optimizer.evaluate, optimizer.gocm_update
+        outside = [0]
+        busy = [False]   # inside the volume search or the checks below
+        sharpness = []
+
+        def counted_forward(*args, **kwargs):
+            outside[0] += not busy[0]
+            return forward(*args, **kwargs)
+
+        def searched(*args, **kwargs):
+            busy[0] = True
+            try:
+                return update(*args, **kwargs)
+            finally:
+                busy[0] = False
+
+        def check(record, chain, rho):
+            busy[0] = True
+            state = ContinuationState(p=record.p, beta_hat=record.beta_hat, beta_bar=record.beta_bar)
+            assert np.array_equal(chain.rho_physical.values,
+                                  forward(setup, rho, state).rho_physical.values)
+            assert record.compliance == evaluate(setup, rho, state)[1].compliance
+            busy[0] = False
+            sharpness.append((record.beta_hat, record.beta_bar))
+
+        monkeypatch.setattr(optimizer, "forward", counted_forward)
+        monkeypatch.setattr(optimizer, "gocm_update", searched)
+        result = run_optimization(setup, callback=check)
+        passes = outside[0]
+        assert result.converged
+
+        chain, solution, _ = evaluate(setup, result.raw.values, setup.continuation_end)
+        assert np.array_equal(result.chain.rho_physical.values, chain.rho_physical.values)
+        assert result.compliance == solution.compliance
+        if setup.config.volume_on == "raw":
+            expected = result.iterations + 1   # no search trial to reuse
+        else:
+            expected = 1 + sum(a != b for a, b in zip(sharpness, sharpness[1:]))
+        assert passes == expected
