@@ -116,8 +116,10 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
 
     The base point goes through the optimizer's own evaluation step at the
     continuation state the run ends at (p = 1 without SIMP), so the check
-    verifies the gradient the run loop uses; a check makes
-    1 + 2 * n_probe state solves. n_probe must be at least 1 and fd_step in
+    verifies the gradient the run loop uses. The 2 * n_probe probe designs
+    differ only in one raw entry each, so they go through the optimizer's
+    `forward` as one stack of rows; each row then gets its own state solve,
+    1 + 2 * n_probe in all. n_probe must be at least 1 and fd_step in
     (0, MAX_FD_STEP]; the messages name the matching `vtopt gradcheck` flags.
     """
     from .optimizer import evaluate, forward
@@ -141,22 +143,25 @@ def gradient_check(cfg, n_probe: int = 8, fd_step: float = 1e-6) -> float:
     k0 = fem.element_stiffness(setup.material.nu)
     edof = fem.element_dof_map(grid)
 
-    def probe(values):
-        """Element moduli and element displacements at raw densities `values`."""
-        chain = forward(setup, values, state, frozen_stats=base_chain.stats)
-        solution = fem.assemble_and_solve(grid, setup.bc, chain.rho_physical, state.p,
-                                          cfg.rho_low, setup.material,
+    probes = rng.choice(grid.n_elements, size=min(n_probe, grid.n_elements), replace=False)
+    # row 2k is rho + fd_step at probe k, row 2k + 1 is rho - fd_step there
+    designs = np.repeat(rho[None, :], 2 * probes.size, axis=0)
+    rows = np.arange(probes.size)
+    designs[2 * rows, probes] += fd_step
+    designs[2 * rows + 1, probes] -= fd_step
+    stack = forward(setup, designs, state, frozen_stats=base_chain.stats).rho_physical.values
+
+    def probe(row):
+        """Element moduli and element displacements of one probe design."""
+        solution = fem.assemble_and_solve(grid, setup.bc, ElementField(stack[row], "physical"),
+                                          state.p, cfg.rho_low, setup.material,
                                           interpolation=setup.interpolation, solver=cfg.solver)
         return solution.moduli, solution.u[edof]
 
-    probes = rng.choice(grid.n_elements, size=min(n_probe, grid.n_elements), replace=False)
     worst = 0.0
-    for e in probes:
-        bumped = rho.copy()
-        bumped[e] = rho[e] + fd_step
-        E_plus, u_plus = probe(bumped)
-        bumped[e] = rho[e] - fd_step
-        E_minus, u_minus = probe(bumped)
+    for k, e in enumerate(probes):
+        E_plus, u_plus = probe(2 * k)
+        E_minus, u_minus = probe(2 * k + 1)
         energies = ((u_minus @ k0) * u_plus).sum(axis=1)
         fd = -float(np.sum((E_plus - E_minus) * energies)) / (2.0 * fd_step)
         denom = max(abs(fd), abs(analytic[e]), 1e-300)

@@ -37,13 +37,15 @@ class BoundaryConditions:
     """Fixed dofs as (node, axis) pairs and point loads as (node, axis, value).
 
     Immutable: the sorted fixed dofs and the band-pattern key derived from them
-    are computed once, at construction.
+    are computed once, at construction; the load vectors of a grid size on its
+    first solve.
     """
 
     fixed: tuple[tuple[int, int], ...]
     loads: tuple[tuple[int, int, float], ...]
     _fixed_dofs: np.ndarray = field(init=False, repr=False, compare=False)
     pattern_key: bytes = field(init=False, repr=False, compare=False)
+    _free_loads: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fixed", tuple(map(tuple, self.fixed)))
@@ -66,6 +68,21 @@ class BoundaryConditions:
         for n, a, v in self.loads:
             f[2 * n + a] += v
         return f
+
+    def free_load(self, grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray, float]:
+        """Load vector of a grid size, its free-dof part in band order and that part's norm.
+
+        Built on the first call per grid size; the arrays are read-only, the
+        same on every call.
+        """
+        key = (grid.nx, grid.ny)
+        if key not in self._free_loads:
+            f = self.load_vector(2 * grid.n_nodes)
+            ff = f[band_pattern(grid, self).free]
+            f.setflags(write=False)
+            ff.setflags(write=False)
+            self._free_loads[key] = (f, ff, np.linalg.norm(ff))
+        return self._free_loads[key]
 
 
 @dataclass
@@ -313,19 +330,17 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
     remove the rigid-body modes. The residual is taken element by element,
     without a second copy of K.
     """
-    if len(rho_physical) != grid.n_elements:
-        raise ValueError(f"field length {len(rho_physical)} does not match grid "
-                         f"with {grid.n_elements} elements")
+    if rho_physical.values.shape != (grid.n_elements,):
+        raise ValueError(f"field shape {rho_physical.values.shape} does not match one field "
+                         f"on a grid with {grid.n_elements} elements")
     if solver != "direct":
         raise ValueError(f"unknown solver {solver!r}")
     E = interpolate_modulus(rho_physical.values, p, rho_low, mat, interpolation)
     k0 = element_stiffness(mat.nu)
     pattern = band_pattern(grid, bc)
-    f = bc.load_vector(2 * grid.n_nodes)
-    ff = f[pattern.free]
+    f, ff, fnorm = bc.free_load(grid)
 
     u = np.zeros_like(f)
-    fnorm = np.linalg.norm(ff)
     if fnorm == 0.0:
         residual = 0.0
     else:

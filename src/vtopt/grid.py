@@ -22,8 +22,10 @@ _field_serial = itertools.count(1)
 class ElementField:
     """One scalar per element, tagged with the pipeline stage it belongs to.
 
-    Values are stored read-only; every construction gets a fresh revision
-    number so downstream caches can detect inputs that were swapped out.
+    Values have shape (..., n_elements): one field, or a stack of fields along
+    leading axes that the regularization chain maps row by row. They are
+    stored read-only; every construction gets a fresh revision number so
+    downstream caches can detect inputs that were swapped out.
     Unpickling constructs anew, so a copy is read-only with a revision of its
     own process's counter.
     """
@@ -32,8 +34,8 @@ class ElementField:
 
     def __init__(self, values, stage: str):
         values = np.array(values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"element field must be one-dimensional, got shape {values.shape}")
+        if values.ndim == 0:
+            raise ValueError("element field needs at least one axis, got a scalar")
         if stage not in STAGES:
             raise ValueError(f"unknown field stage {stage!r}, expected one of {STAGES}")
         # a NaN fails both comparisons
@@ -48,10 +50,10 @@ class ElementField:
         return ElementField, (self.values, self.stage)
 
     def __len__(self):
-        return self.values.size
+        return self.values.shape[-1]
 
     def __repr__(self):
-        return f"ElementField(stage={self.stage!r}, n={self.values.size}, revision={self.revision})"
+        return f"ElementField(stage={self.stage!r}, shape={self.values.shape}, revision={self.revision})"
 
 
 @dataclass(frozen=True)

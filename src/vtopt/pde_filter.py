@@ -9,7 +9,8 @@ identity map.
 The zero-flux path Laplacian is diagonalized by the orthonormal DCT-II basis, so
 the system is solved in that basis: the field is transformed along both grid
 directions by dense matrix products, divided by the operator's eigenvalues, and
-transformed back.
+transformed back. A stack of fields of shape (..., n_elements) is filtered
+field by field in one broadcast product.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class DensityFilter:
         self._basis_y = _cosine_basis(grid.ny)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Filter a density field; output stays within [min(rho), max(rho)]."""
+        """Filter a density field or a stack of them; output stays within [min(rho), max(rho)]."""
         rho = self._check(rho)
         out = self._solve(rho)
         if out.min() < -CLAMP_TOL or out.max() > 1.0 + CLAMP_TOL:
@@ -92,12 +93,12 @@ class DensityFilter:
 
     def _solve(self, values: np.ndarray) -> np.ndarray:
         bx, by = self._basis_x, self._basis_y
-        spectrum = by @ values.reshape(self.grid.ny, self.grid.nx) @ bx.T
-        return (by.T @ (spectrum * self._inverse_eigenvalues) @ bx).ravel()
+        spectrum = by @ values.reshape(*values.shape[:-1], self.grid.ny, self.grid.nx) @ bx.T
+        return (by.T @ (spectrum * self._inverse_eigenvalues) @ bx).reshape(values.shape)
 
     def _check(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.grid.n_elements,):
+        if values.ndim == 0 or values.shape[-1] != self.grid.n_elements:
             raise ValueError(f"field shape {values.shape} does not match grid "
                              f"with {self.grid.n_elements} elements")
         return values

@@ -165,7 +165,12 @@ def regularize_chain(grid: StructuredGrid, rho_raw: ElementField, params: Projec
                      filt: DensityFilter, projection: str = "low_thickness",
                      dgi_enabled: bool = True,
                      frozen_stats: NeighborhoodStats | None = None) -> RegularizedChain:
-    """Run the full regularization chain and cache its per-element derivatives."""
+    """Run the full regularization chain and cache its per-element derivatives.
+
+    rho_raw may hold a stack of fields of shape (..., n_elements); each is
+    mapped as if alone. Neighborhood statistics take one field, so a stack
+    needs frozen_stats when DGI is on.
+    """
     if rho_raw.stage != "raw":
         raise ValueError(f"chain input must be a raw field, got stage {rho_raw.stage!r}")
     if projection not in PROJECTION_STYLES:

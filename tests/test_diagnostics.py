@@ -233,6 +233,19 @@ class TestGradientCheck:
         assert len(factored) == 1 + 2 * n_probe
 
     @pytest.mark.parametrize("n_probe", [1, 5])
+    def test_builds_the_base_chain_and_one_stack_of_probes(self, monkeypatch, n_probe):
+        shapes = []
+        chain = optimizer.regularize_chain
+
+        def counted(grid, raw, *args, **kwargs):
+            shapes.append(raw.values.shape)
+            return chain(grid, raw, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "regularize_chain", counted)
+        gradient_check(RunConfig(nx=8, ny=4, h=0.25, seed=6), n_probe=n_probe)
+        assert shapes == [(32,), (2 * n_probe, 32)]
+
+    @pytest.mark.parametrize("n_probe", [1, 5])
     def test_interpolates_the_moduli_once_per_solve(self, monkeypatch, n_probe):
         calls = []
         interpolate = fem.interpolate_modulus

@@ -167,6 +167,22 @@ class TestBoundaryConditions:
         assert bc.loads == ((3, 1, -1.0),)
         np.testing.assert_array_equal(bc.fixed_dofs(), [0, 1, 3])
 
+    def test_free_load_is_built_once_per_grid_size_and_read_only(self, monkeypatch):
+        grid = StructuredGrid(8, 4, 0.25)
+        bc = cantilever_bc(grid, load_fx=0.3)
+        f, ff, norm = bc.free_load(grid)
+        expected = bc.load_vector(2 * grid.n_nodes)
+        np.testing.assert_array_equal(f, expected)
+        np.testing.assert_array_equal(ff, expected[band_pattern(grid, bc).free])
+        assert norm == np.linalg.norm(ff)
+        assert not f.flags.writeable and not ff.flags.writeable
+        monkeypatch.setattr(BoundaryConditions, "load_vector",
+                            lambda *a: pytest.fail("load vector rebuilt"))
+        assert all(a is b for a, b in zip(bc.free_load(grid), (f, ff, norm)))
+        field = ElementField(np.full(grid.n_elements, 0.6), "physical")
+        assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
+        assemble_and_solve(grid, bc, field, 3.0, 0.1, MaterialModel())
+
     def test_singular_system_is_a_structural_error(self):
         grid = StructuredGrid(3, 2, 1.0)
         # only x-direction dofs fixed: rigid vertical translation remains
@@ -330,6 +346,14 @@ class TestAssembleAndSolve:
         field = ElementField(np.full(grid.n_elements, 0.6), "physical")
         with pytest.raises(ValueError, match="solver"):
             assemble_and_solve(grid, cantilever_bc(grid), field, 1.0, 0.1, MaterialModel(), solver="cg")
+
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_stack_of_fields_is_rejected(self, rows):
+        grid = StructuredGrid(4, 2, 0.5)
+        field = ElementField(np.full((rows, grid.n_elements), 0.6), "physical")
+        with pytest.raises(ValueError, match="shape"):
+            assemble_and_solve(grid, cantilever_bc(grid), field, 1.0, 0.1, MaterialModel())
 
 
 class TestComplianceSensitivity:

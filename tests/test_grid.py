@@ -146,6 +146,24 @@ class TestElementField:
         with pytest.raises(ValueError):
             ElementField(values, "raw")
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01, np.inf])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_rejects_a_bad_entry_in_any_row_of_a_stack(self, bad, row):
+        values = np.full((3, 4), 0.5)
+        values[row, 1] = bad
+        with pytest.raises(ValueError):
+            ElementField(values, "raw")
+
+    def test_stack_keeps_its_shape_and_element_count(self):
+        f = ElementField(np.full((2, 3, 4), 0.5), "raw")
+        assert f.values.shape == (2, 3, 4)
+        assert len(f) == 4
+
+    @pytest.mark.parametrize("values", [0.5, np.float64(0.5), np.array(0.5)])
+    def test_rejects_a_scalar(self, values):
+        with pytest.raises(ValueError):
+            ElementField(values, "raw")
+
     def test_accepts_signed_zero_and_both_bounds(self):
         f = ElementField([-0.0, 0.0, 1.0], "raw")
         np.testing.assert_array_equal(f.values, [0.0, 0.0, 1.0])

@@ -7,8 +7,8 @@ from vtopt import optimizer
 from vtopt.config import RunConfig
 from vtopt.fem import MaterialModel, cantilever_bc, element_dof_map, element_stiffness, interpolate_modulus
 from vtopt.grid import StructuredGrid
-from vtopt.optimizer import (ContinuationState, delta_rho_mean, gocm_update, run_optimization,
-                             update_continuation)
+from vtopt.optimizer import (ContinuationState, delta_rho_mean, forward, gocm_update,
+                             run_optimization, update_continuation)
 from vtopt.problem import build_problem
 
 
@@ -468,3 +468,34 @@ class TestSearchTrialReuse:
         else:
             expected = 1 + sum(a != b for a, b in zip(sharpness, sharpness[1:]))
         assert passes == expected
+
+
+FORWARD_MODES = {
+    "default": {},
+    "penalized_reference": dict(penalized_reference=True),
+    "dgi_off": dict(dgi=False),
+    "lt_projection_off": dict(lt_projection=False),
+}
+
+
+@pytest.mark.parametrize("mode", FORWARD_MODES)
+@pytest.mark.parametrize("nx,ny,h", [(8, 4, 0.25), (80, 40, 0.125)])
+def test_forward_on_a_stack_equals_forward_per_row(mode, nx, ny, h):
+    setup = build_problem(RunConfig(nx=nx, ny=ny, h=h, **FORWARD_MODES[mode]))
+    state = setup.continuation_end
+    rng = np.random.default_rng(nx)
+    frozen = forward(setup, rng.uniform(0.2, 0.9, setup.grid.n_elements), state).stats
+    stack = rng.uniform(0.0, 1.0, (6, setup.grid.n_elements))
+    chain = forward(setup, stack, state, frozen_stats=frozen)
+    for row in range(stack.shape[0]):
+        alone = forward(setup, stack[row], state, frozen_stats=frozen)
+        for name in ("rho_tilde", "rho_hat", "rho_physical"):
+            assert np.array_equal(getattr(chain, name).values[row], getattr(alone, name).values)
+        assert np.array_equal(chain.d_hat_d_tilde[row], alone.d_hat_d_tilde)
+        assert np.array_equal(chain.d_phys_d_hat[row], alone.d_phys_d_hat)
+
+
+def test_stacked_forward_without_frozen_statistics_fails_loudly():
+    setup = build_problem(RunConfig(nx=8, ny=4, h=0.25))
+    with pytest.raises(ValueError):
+        forward(setup, np.full((2, setup.grid.n_elements), 0.5), setup.continuation_end)

@@ -117,8 +117,21 @@ class TestApplyFilter:
     def test_dimension_mismatch(self):
         grid = StructuredGrid(4, 4, 1.0)
         filt = DensityFilter(grid, 1.5)
-        with pytest.raises(ValueError):
-            filt.apply(np.zeros(5))
+        for values in (np.zeros(5), np.zeros((2, 5)), np.float64(0.5)):
+            with pytest.raises(ValueError):
+                filt.apply(values)
+
+
+@pytest.mark.parametrize("method", ["apply", "apply_transpose"])
+@pytest.mark.parametrize("nx,ny", [(8, 4), (80, 40)])
+def test_stack_equals_per_field_calls(method, nx, ny):
+    grid = StructuredGrid(nx, ny, 0.25)
+    apply = getattr(DensityFilter(grid, 0.375), method)
+    stack = np.random.default_rng(nx).uniform(0.0, 1.0, (2, 3, grid.n_elements))
+    out = apply(stack)
+    assert out.shape == stack.shape
+    for index in np.ndindex(stack.shape[:-1]):
+        assert np.array_equal(out[index], apply(stack[index]))
 
 
 class TestApplyTranspose:

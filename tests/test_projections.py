@@ -136,6 +136,16 @@ class TestNeighborhoodStats:
         assert np.allclose(stats.rho_max, 0.3)
         assert np.allclose(stats.diff, 0.0)
 
+    def test_rejects_a_stack(self):
+        # the statistics of a stack would mix its rows; a stacked chain needs frozen ones
+        grid = StructuredGrid(6, 4, 0.5)
+        for shape in ((2, grid.n_elements), (1, grid.n_elements)):
+            with pytest.raises(ValueError):
+                neighborhood_stats(grid, np.full(shape, 0.3), 0.75)
+        with pytest.raises(ValueError):
+            neighborhood_stats(grid, ElementField(np.full((2, grid.n_elements), 0.3), "filtered"),
+                               0.75)
+
     def test_center_spike_3x3(self):
         grid = StructuredGrid(3, 3, 1.0)
         field = np.zeros(9)
@@ -400,6 +410,23 @@ class TestChainGradient:
                                  ProjectionParams(), filt)
         with pytest.raises(ValueError):
             chain_gradient(chain, np.zeros(3))
+
+    @pytest.mark.parametrize("dgi_enabled", [True, False])
+    def test_stacked_chain_pulls_back_each_row_alike(self, dgi_enabled):
+        filt = DensityFilter(self.grid, 0.375)
+        params = ProjectionParams(rho_low=0.1, beta_bar=25.0, beta_hat=10.0, radius=0.375)
+        frozen = regularize_chain(self.grid, ElementField(self.rho, "raw"), params, filt).stats
+        rng = np.random.default_rng(20)
+        raw = rng.uniform(0.2, 0.9, (4, self.grid.n_elements))
+        grad = rng.normal(size=raw.shape)
+
+        def chain(values):
+            return regularize_chain(self.grid, ElementField(values, "raw"), params, filt,
+                                    dgi_enabled=dgi_enabled, frozen_stats=frozen)
+
+        stacked = chain_gradient(chain(raw), grad)
+        for row in range(raw.shape[0]):
+            assert np.array_equal(stacked[row], chain_gradient(chain(raw[row]), grad[row]))
 
 
 class TestProjectionParams:
