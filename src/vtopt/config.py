@@ -11,7 +11,6 @@ from .errors import ConfigError
 
 CLAMP_EDGES = ("left", "right", "bottom", "top")
 CONTINUATION_MODES = ("sequential", "simultaneous")
-VOLUME_FIELDS = ("physical", "raw")
 SOLVERS = ("direct",)
 
 _TRUE = {"1", "true", "on", "yes"}
@@ -64,7 +63,6 @@ class RunConfig:
     rho_init: float = 0.3
     tol_drho: float = 1e-4
     max_iters: int = 500
-    volume_on: str = "physical"
     solver: str = "direct"
     # outputs
     output_dir: str = "out"
@@ -132,7 +130,6 @@ class RunConfig:
         _require(0 < self.rho_init <= 1, "rho_init", "must be in (0, 1]")
         _require(self.tol_drho > 0, "tol_drho", "must be positive")
         _require(self.max_iters >= 1, "max_iters", "must be >= 1")
-        _require(self.volume_on in VOLUME_FIELDS, "volume_on", f"must be one of {VOLUME_FIELDS}")
         _require(self.solver in SOLVERS, "solver", f"must be one of {SOLVERS}")
         _require(self.snapshot_every >= 0, "snapshot_every", "must be >= 0")
         if self.width_profile is not None:
@@ -179,7 +176,7 @@ _PARSERS = {
     "vol_frac": float, "rho_init": float, "tol_drho": float,
     "lt_simp": _parse_bool, "lt_projection": _parse_bool, "dgi": _parse_bool,
     "penalized_reference": _parse_bool,
-    "clamp_edge": str, "continuation_mode": str, "volume_on": str, "solver": str,
+    "clamp_edge": str, "continuation_mode": str, "solver": str,
     "output_dir": str, "width_profile": _parse_width_profile,
 }
 _FLOAT_KEYS = tuple(key for key, parse in _PARSERS.items() if parse is float)

@@ -10,10 +10,11 @@ continuation_end, by default sequentially (sharpness ramps start once the
 penalty exponent is maxed out). build_problem decides which ramps a mode
 uses; an inactive ramp ends where it starts, so it never moves.
 
-The search's last trial is the design it accepts. While the next iteration's
-projection sharpness equals the trial's (p never enters the chain), the run
-loop and the final analysis take that trial's chain and volume gradient and
-skip the forward pass.
+The run loop carries one chain and its volume gradient. The search returns
+its last trial's field, so that trial's chain and volume gradient become the
+next iteration's and the final analysis's; a forward pass outside the search
+runs only before the first iteration and when the projection sharpness steps
+(p never enters the chain).
 """
 
 from __future__ import annotations
@@ -90,14 +91,14 @@ def delta_rho_mean(rho_old: np.ndarray, rho_new: np.ndarray, volumes: np.ndarray
 
 def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
                 vol_target: float, volumes: np.ndarray,
-                physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+                physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                 lam_seed: float = 1.0) -> tuple[np.ndarray, float]:
     """Multiplicative exponential design update with a searched volume multiplier.
 
     rho_new = clip(rho * B^0.5, rho - step, rho + step) clipped to [0, 1], with
     B = max(eps, -dF / (lam * dG)); the decaying step acts as a move limit.
     physical_map(rho_new) returns the physical field and the gradient of its
-    volume fraction w.r.t. rho_new; without it the volume is taken on rho_new.
+    volume fraction w.r.t. rho_new.
 
     The volume excess falls as lam grows, so lam is found by Newton's method in
     t = log(lam), measured from the volume-weighted mean of -dF / dG so that the
@@ -113,8 +114,8 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
     VOLUME_TOL, or when no lam can move the field further toward it (every
     element held by a clip in that direction, or |t| at LOG_LAM_BOUND): a
     saturated move limit or an inactive constraint, whose update is returned.
-    Returns the new raw field and the multiplier found, which makes a good seed
-    for the next iteration.
+    Returns the new raw field, which is always the last trial's, and the
+    multiplier found, which makes a good seed for the next iteration.
     """
     rho = np.asarray(rho, dtype=float)
     dF = np.asarray(dF, dtype=float)
@@ -142,10 +143,7 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
         held_low = (scaled <= RATIO_FLOOR) | (grown <= lower)
         held_high = (scaled >= RATIO_CAP) | (grown >= upper)
         free = ~(held_low | held_high)
-        if physical_map is None:
-            phys, grad = new, volumes / total_volume
-        else:
-            phys, grad = physical_map(new)
+        phys, grad = physical_map(new)
         excess = float(np.sum(volumes * phys) / total_volume) - vol_target
         stuck = bool((held_low if excess > 0.0 else held_high).all())
         return excess, -DAMPING * float(grad[free] @ new[free]), new, stuck
@@ -219,9 +217,8 @@ def evaluate(setup: "ProblemSetup", raw: np.ndarray, state: ContinuationState
              ) -> tuple[RegularizedChain, StateSolution, np.ndarray]:
     """Forward chain, state solve and compliance gradient w.r.t. the raw densities.
 
-    The one analysis step: the run loop, the final analysis and the gradient
-    check's base point all call it. The run loop skips its forward pass when
-    the volume search has just built the same chain.
+    The gradient check's base point calls it. The run loop runs the same
+    analysis on the chain it carries from the volume search.
     """
     chain = forward(setup, raw, state)
     return (chain, *_analyse(setup, chain, state.p))
@@ -257,35 +254,22 @@ def run_optimization(setup: "ProblemSetup",
     lam = 1.0
     history: list[IterationRecord] = []
     converged = False
-    accepted = None   # raw field, (beta_hat, beta_bar), chain and volume gradient of the last trial
+    chain = forward(setup, rho, state)
+    dG = chain_gradient(chain, vol_grad_phys)
+    trial = None   # chain and volume gradient of the volume search's latest trial
 
-    def reusable(raw: np.ndarray, state: ContinuationState) -> bool:
-        """Whether the search's last trial built the chain of raw at state: the search
-        returns its last trial's field, and p never enters the chain."""
-        return (accepted is not None and accepted[0] is raw
-                and accepted[1] == (state.beta_hat, state.beta_bar))
+    def physical_map(raw):
+        nonlocal trial
+        built = forward(setup, raw, state)
+        trial = built, chain_gradient(built, vol_grad_phys)
+        return built.rho_physical.values, trial[1]
 
     for iteration in range(1, cfg.max_iters + 1):
-        if reusable(rho, state):
-            _, _, chain, dG = accepted
-            solution, dF = _analyse(setup, chain, state.p)
-        else:
-            chain, solution, dF = evaluate(setup, rho, state)
-            dG = chain_gradient(chain, vol_grad_phys) if cfg.volume_on == "physical" else vol_grad_phys
+        solution, dF = _analyse(setup, chain, state.p)
         dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
         dG = np.maximum(dG, 1e-300)
-
-        physical_map = None
-        if cfg.volume_on == "physical":
-            def physical_map(raw):
-                nonlocal accepted
-                trial = forward(setup, raw, state)
-                grad = chain_gradient(trial, vol_grad_phys)
-                accepted = (raw, (state.beta_hat, state.beta_bar), trial, grad)
-                return trial.rho_physical.values, grad
-
-        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, volumes,
-                                   physical_map=physical_map, lam_seed=lam)
+        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, volumes, physical_map,
+                                   lam_seed=lam)
         drho = delta_rho_mean(rho, rho_new, volumes)
 
         record = IterationRecord(
@@ -303,19 +287,19 @@ def run_optimization(setup: "ProblemSetup",
         if callback is not None:
             callback(record, chain, rho)
 
-        rho = rho_new
+        rho, (chain, dG) = rho_new, trial   # the search returns its latest trial's field
         if drho < cfg.tol_drho and state == end:
             converged = True
             break
-        state = update_continuation(cfg, state, end)
+        state, previous = update_continuation(cfg, state, end), state
+        # p never enters the chain, so only a sharpness step rebuilds it
+        if (state.beta_hat, state.beta_bar) != (previous.beta_hat, previous.beta_bar):
+            chain = forward(setup, rho, state)
+            dG = chain_gradient(chain, vol_grad_phys)
         step = max(step * cfg.step_decay, cfg.step_min)
 
     # final analysis of the accepted design at the last continuation state
-    if reusable(rho, state):
-        chain = accepted[2]
-        solution, _ = _analyse(setup, chain, state.p)
-    else:
-        chain, solution, _ = evaluate(setup, rho, state)
+    solution, _ = _analyse(setup, chain, state.p)
     return RunResult(
         raw=ElementField(rho, "raw"),
         chain=chain,

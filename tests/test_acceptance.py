@@ -311,7 +311,7 @@ class TestOracleEquivalence:
 
         # toy optimization against exhaustive 5-level search
         cfg = vtopt.RunConfig(nx=4, ny=2, h=0.5, lt_simp=False, lt_projection=False, dgi=False,
-                              filter_radius=1e-9, volume_on="raw", max_iters=300)
+                              filter_radius=1e-9, max_iters=300)
         setup = vtopt.build_problem(cfg)
         result = vtopt.run_optimization(setup)
         k0 = element_stiffness(setup.material.nu)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from vtopt.cli import main
-from vtopt.config import (CLAMP_EDGES, CONTINUATION_MODES, VOLUME_FIELDS, RunConfig,
-                          parse_config_text)
+from vtopt.config import CLAMP_EDGES, CONTINUATION_MODES, RunConfig, parse_config_text
 from vtopt.errors import ConfigError
 from vtopt.export import read_field_text, read_history
 from vtopt.runner import run_ablation_suite, run_single
@@ -148,7 +147,8 @@ class TestCliVerbs:
                                           ("filter_radius = inf", "filter_radius"),
                                           ("E0 = inf", "E0"),
                                           ("load_fy = nan", "load_fy"),
-                                          ("rho_init = 0", "rho_init")])
+                                          ("rho_init = 0", "rho_init"),
+                                          ("volume_on = raw", "unknown key 'volume_on'")])
     def test_config_rejected_before_the_run(self, tmp_path, capsys, line, key):
         cfg = write_cfg(tmp_path, FAST + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 1
@@ -239,8 +239,8 @@ def random_config_text(rng):
     nx, ny, h = 6, 3, log_uniform(rng, 1e-3, 1e3)
     keys = {"nx": nx, "ny": ny, "h": h, "max_iters": int(rng.integers(1, 11)),
             "clamp_edge": rng.choice(CLAMP_EDGES),
-            "continuation_mode": rng.choice(CONTINUATION_MODES),
-            "volume_on": rng.choice(VOLUME_FIELDS)}
+            "continuation_mode": rng.choice(CONTINUATION_MODES)}
+    rng.choice(2)   # the draw of a retired key, kept so that every later draw stays put
     for flag in ("lt_simp", "lt_projection", "dgi", "penalized_reference"):
         keys[flag] = rng.choice(["on", "off"])
     if rng.random() < 0.5:
@@ -273,7 +273,7 @@ def random_config_text(rng):
 
 # The state solve's residual check reads the conditioning of a design with void at
 # a tiny rho_min as a solver failure, so these draws exit 2 (ROADMAP item 3).
-SOLVE_CHECK_FAILURES = (40, 79, 101, 127)
+SOLVE_CHECK_FAILURES = (101, 127)
 
 
 @pytest.mark.parametrize("seed", [

@@ -72,7 +72,7 @@ class TestValidation:
         ("E0 = 0", "E0"),
         ("rho_min = 1", "rho_min"),
         ("clamp_edge = diagonal", "clamp_edge"),
-        ("volume_on = both", "volume_on"),
+        ("volume_on = raw", "unknown key 'volume_on'"),
         ("solver = magic", "solver"),
         ("step_init = 1.5", "step_init"),
         ("beta_hat_init = 0", "beta_hat_init"),

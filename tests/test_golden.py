@@ -32,10 +32,6 @@ CONFIGS = {   # golden directory -> config text
 }
 
 
-def artifacts(name: str) -> tuple[str, ...]:
-    return ("history.csv", "metrics.txt") if name == "default" else ("history.csv",)
-
-
 def versions() -> dict[str, str]:
     """numpy, scipy and the BLAS each links: the libraries that set a trajectory's last bits."""
     def blas(build: dict) -> str:
@@ -49,7 +45,8 @@ def versions() -> dict[str, str]:
 def run(name: str, outdir: Path) -> dict[str, bytes]:
     """The pinned artifacts of `vtopt run` on a golden config."""
     run_single(parse_config_text(CONFIGS[name]).replace(output_dir=str(outdir)))
-    return {artifact: (outdir / artifact).read_bytes() for artifact in artifacts(name)}
+    pinned = ("history.csv", "metrics.txt") if name == "default" else ("history.csv",)
+    return {artifact: (outdir / artifact).read_bytes() for artifact in pinned}
 
 
 def first_difference(artifact: str, golden: bytes, now: bytes) -> str:

@@ -144,6 +144,11 @@ class TestDeltaRhoMean:
         assert delta_rho_mean(old, new, volumes) == pytest.approx((3 * 0.1 + 1 * 0.3) / 4)
 
 
+def identity_map(volumes):
+    """A physical map that leaves the field as it is, with its volume-fraction gradient."""
+    return lambda rho: (rho, volumes / np.sum(volumes))
+
+
 class TestGocmUpdate:
     def test_stationarity(self):
         # proportional sensitivities at target volume: multiplier makes B = 1
@@ -151,7 +156,7 @@ class TestGocmUpdate:
         volumes = np.ones(4)
         dG = volumes / volumes.sum()
         dF = -2.5 * dG
-        new, lam = gocm_update(rho, dF, dG, 0.05, 0.3, volumes)
+        new, lam = gocm_update(rho, dF, dG, 0.05, 0.3, volumes, identity_map(volumes))
         assert np.abs(new - rho).max() < 1e-5
         assert lam == pytest.approx(2.5, rel=1e-3)
 
@@ -161,7 +166,7 @@ class TestGocmUpdate:
         volumes = np.ones(6)
         dG = volumes / volumes.sum()
         dF = -rng.uniform(0.5, 2.0, 6) * dG
-        new, _ = gocm_update(rho, dF, dG, 1e-9, float(rho.mean()), volumes)
+        new, _ = gocm_update(rho, dF, dG, 1e-9, float(rho.mean()), volumes, identity_map(volumes))
         assert np.abs(new - rho).max() <= 1e-9 + 1e-12
 
     def test_hits_volume_target(self):
@@ -171,7 +176,7 @@ class TestGocmUpdate:
         dG = volumes / volumes.sum()
         dF = -rng.uniform(0.1, 5.0, 50) * dG
         target = float(rho.mean()) - 0.02   # reachable within the move limit
-        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes)
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes, identity_map(volumes))
         assert abs(new.mean() - target) <= 1e-6
 
     def test_unreachable_target_saturates_move_limit(self):
@@ -179,7 +184,7 @@ class TestGocmUpdate:
         volumes = np.ones(20)
         dG = volumes / volumes.sum()
         dF = -np.full(20, 1.0) * dG
-        new, _ = gocm_update(rho, dF, dG, 0.05, 0.1, volumes)
+        new, _ = gocm_update(rho, dF, dG, 0.05, 0.1, volumes, identity_map(volumes))
         assert new.mean() == pytest.approx(0.45)   # moved the full step toward feasibility
 
     def test_inactive_constraint_saturates(self):
@@ -187,7 +192,7 @@ class TestGocmUpdate:
         volumes = np.ones(8)
         dG = volumes / volumes.sum()
         dF = -np.full(8, 1.0)
-        new, _ = gocm_update(rho, dF, dG, 0.05, 1.0, volumes)
+        new, _ = gocm_update(rho, dF, dG, 0.05, 1.0, volumes, identity_map(volumes))
         assert (new >= rho).all()   # everything may grow toward solid
 
     def test_bounds_respected(self):
@@ -196,7 +201,7 @@ class TestGocmUpdate:
         volumes = np.ones(100)
         dG = volumes / volumes.sum()
         dF = -rng.uniform(0, 10, 100) * dG
-        new, _ = gocm_update(rho, dF, dG, 0.5, 0.3, volumes)
+        new, _ = gocm_update(rho, dF, dG, 0.5, 0.3, volumes, identity_map(volumes))
         assert (new >= 0).all() and (new <= 1).all()
 
     def test_move_limit_respected(self):
@@ -206,7 +211,7 @@ class TestGocmUpdate:
         dG = volumes / volumes.sum()
         dF = -rng.uniform(0.01, 100.0, 40) * dG
         step = 0.03
-        new, _ = gocm_update(rho, dF, dG, step, 0.5, volumes)
+        new, _ = gocm_update(rho, dF, dG, step, 0.5, volumes, identity_map(volumes))
         assert np.abs(new - rho).max() <= step + 1e-12
 
     @staticmethod
@@ -263,22 +268,24 @@ class TestGocmUpdate:
         dG = volumes / volumes.sum()
         dF = -rng.uniform(0.1, 5.0, 50) * dG / E0
         target = float(rho.mean()) - 0.02
-        new, lam = gocm_update(rho, dF, dG, 0.05, target, volumes)
+        new, lam = gocm_update(rho, dF, dG, 0.05, target, volumes, identity_map(volumes))
         assert abs(new.mean() - target) <= 1e-6
         assert 1e-60 < lam * E0 < 1e60
 
     def test_rejects_positive_objective_gradient(self):
         with pytest.raises(ValueError):
-            gocm_update(np.array([0.5]), np.array([1.0]), np.array([1.0]), 0.05, 0.3, np.ones(1))
+            gocm_update(np.array([0.5]), np.array([1.0]), np.array([1.0]), 0.05, 0.3, np.ones(1),
+                        identity_map(np.ones(1)))
 
     def test_rejects_nonpositive_constraint_gradient(self):
         with pytest.raises(ValueError):
-            gocm_update(np.array([0.5]), np.array([-1.0]), np.array([0.0]), 0.05, 0.3, np.ones(1))
+            gocm_update(np.array([0.5]), np.array([-1.0]), np.array([0.0]), 0.05, 0.3, np.ones(1),
+                        identity_map(np.ones(1)))
 
 
 def toy_setup():
     cfg = RunConfig(nx=4, ny=2, h=0.5, lt_simp=False, lt_projection=False, dgi=False,
-                    filter_radius=1e-9, volume_on="raw", max_iters=300)
+                    filter_radius=1e-9, max_iters=300)
     return cfg, build_problem(cfg)
 
 
@@ -418,7 +425,6 @@ MODES = {
     "dgi_off": dict(dgi=False),
     "lt_projection_off": dict(lt_projection=False),
     "simultaneous": dict(continuation_mode="simultaneous"),
-    "volume_on_raw": dict(volume_on="raw"),
 }
 
 
@@ -463,11 +469,7 @@ class TestSearchTrialReuse:
         chain, solution, _ = evaluate(setup, result.raw.values, setup.continuation_end)
         assert np.array_equal(result.chain.rho_physical.values, chain.rho_physical.values)
         assert result.compliance == solution.compliance
-        if setup.config.volume_on == "raw":
-            expected = result.iterations + 1   # no search trial to reuse
-        else:
-            expected = 1 + sum(a != b for a, b in zip(sharpness, sharpness[1:]))
-        assert passes == expected
+        assert passes == 1 + sum(a != b for a, b in zip(sharpness, sharpness[1:]))
 
 
 FORWARD_MODES = {
