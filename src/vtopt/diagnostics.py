@@ -14,20 +14,18 @@ VOID_THRESHOLD = 0.001   # densities at or below this count as acceptable void
 MAX_FD_STEP = 0.01       # keeps the probes in [0, 1] and most of the probe range off the kink
 
 
-def low_thickness_fraction(rho_physical, volumes, rho_low: float) -> float:
-    """Volume share of material sitting in the undesired band (VOID_THRESHOLD, rho_low).
+def low_thickness_fraction(rho_physical, rho_low: float) -> float:
+    """Share of material sitting in the undesired band (VOID_THRESHOLD, rho_low).
 
-    The denominator is all material above the void threshold; an all-void field
-    returns 0.
+    Elements are all of one size, so this is the mean of rho < rho_low over the
+    elements above the void threshold; an all-void field returns 0.
     """
     rho = rho_physical.values if isinstance(rho_physical, ElementField) else np.asarray(rho_physical, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
     material = rho > VOID_THRESHOLD
-    undesired = material & (rho < rho_low)
-    material_volume = float(np.sum(volumes[material]))
-    if material_volume == 0.0:
+    n_material = np.count_nonzero(material)
+    if n_material == 0:
         return 0.0
-    return float(np.sum(volumes[undesired]) / material_volume)
+    return np.count_nonzero(material & (rho < rho_low)) / n_material
 
 
 @dataclass

@@ -9,7 +9,7 @@ reference mode).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -36,53 +36,32 @@ class MaterialModel:
 class BoundaryConditions:
     """Fixed dofs as (node, axis) pairs and point loads as (node, axis, value).
 
-    Immutable: the sorted fixed dofs and the band-pattern key derived from them
-    are computed once, at construction; the load vectors of a grid size on its
-    first solve.
+    A hashable value: the band pattern and load vectors derived from it are
+    cached per grid size and bc value (band_pattern).
     """
 
     fixed: tuple[tuple[int, int], ...]
     loads: tuple[tuple[int, int, float], ...]
-    _fixed_dofs: np.ndarray = field(init=False, repr=False, compare=False)
-    pattern_key: bytes = field(init=False, repr=False, compare=False)
-    _free_loads: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fixed", tuple(map(tuple, self.fixed)))
         object.__setattr__(self, "loads", tuple(map(tuple, self.loads)))
-        dofs = np.unique(np.array([2 * n + a for n, a in self.fixed], dtype=np.int64))
-        dofs.setflags(write=False)
-        object.__setattr__(self, "_fixed_dofs", dofs)
-        object.__setattr__(self, "pattern_key", dofs.tobytes())
-        if dofs.size < 3:
+        if self.fixed_dofs().size < 3:
             raise StructuralError("at least 3 independent fixed dofs are required")
         if not any(v != 0.0 for _, _, v in self.loads):
             raise StructuralError("load vector is zero")
 
     def fixed_dofs(self) -> np.ndarray:
-        """Sorted global indices of the fixed dofs; read-only, the same array on every call."""
-        return self._fixed_dofs
+        """Sorted global indices of the fixed dofs, read-only."""
+        dofs = np.unique(np.array([2 * n + a for n, a in self.fixed], dtype=np.int64))
+        dofs.setflags(write=False)
+        return dofs
 
     def load_vector(self, n_dofs: int) -> np.ndarray:
         f = np.zeros(n_dofs)
         for n, a, v in self.loads:
             f[2 * n + a] += v
         return f
-
-    def free_load(self, grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray, float]:
-        """Load vector of a grid size, its free-dof part in band order and that part's norm.
-
-        Built on the first call per grid size; the arrays are read-only, the
-        same on every call.
-        """
-        key = (grid.nx, grid.ny)
-        if key not in self._free_loads:
-            f = self.load_vector(2 * grid.n_nodes)
-            ff = f[band_pattern(grid, self).free]
-            f.setflags(write=False)
-            ff.setflags(write=False)
-            self._free_loads[key] = (f, ff, np.linalg.norm(ff))
-        return self._free_loads[key]
 
 
 @dataclass
@@ -209,6 +188,8 @@ class BandPattern:
     in this order (the same for every element); ``scatter`` gives, for each
     of them and each element, its slot in ``ab``'s memory. Entries that touch
     a fixed dof go to the extra slot ``ab.size``, which is dropped.
+    ``load`` is the bc's load vector, ``load_free`` its part on ``free`` and
+    ``load_norm`` that part's norm.
     """
 
     free: np.ndarray
@@ -216,6 +197,9 @@ class BandPattern:
     rows: np.ndarray
     cols: np.ndarray
     scatter: np.ndarray
+    load: np.ndarray
+    load_free: np.ndarray
+    load_norm: float
 
     def band(self, E: np.ndarray, k0: np.ndarray) -> np.ndarray:
         """K_ff in lower band storage for element moduli E and unit element stiffness k0."""
@@ -226,15 +210,15 @@ class BandPattern:
 
 
 def band_pattern(grid: StructuredGrid, bc: BoundaryConditions) -> BandPattern:
-    """The K_ff band pattern of a grid size and fixed-dof set, built on first use and cached."""
-    return _band_pattern(grid.nx, grid.ny, bc.pattern_key)
+    """The K_ff band pattern and loads of a grid size and bc, built on first use and cached."""
+    return _band_pattern(grid.nx, grid.ny, bc)
 
 
 @functools.lru_cache(maxsize=8)
-def _band_pattern(nx: int, ny: int, fixed_bytes: bytes) -> BandPattern:
+def _band_pattern(nx: int, ny: int, bc: BoundaryConditions) -> BandPattern:
     nodes = band_order(nx, ny)
     dofs = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
-    free = dofs[~np.isin(dofs, np.frombuffer(fixed_bytes, dtype=np.int64))]
+    free = dofs[~np.isin(dofs, bc.fixed_dofs())]
     n = free.size
     rank = np.argsort(dofs)
     position = np.full(dofs.size, -1, dtype=np.int64)
@@ -247,8 +231,11 @@ def _band_pattern(nx: int, ny: int, fixed_bytes: bytes) -> BandPattern:
     kept = (i >= 0) & (j >= 0)
     bandwidth = int((i - j)[kept].max(initial=0))
     scatter = np.where(kept, j * (bandwidth + 1) + i - j, (bandwidth + 1) * n)
-    pattern = BandPattern(free=free, bandwidth=bandwidth, rows=rows, cols=cols, scatter=scatter)
-    for array in (pattern.free, pattern.rows, pattern.cols, pattern.scatter):
+    load = bc.load_vector(dofs.size)
+    pattern = BandPattern(free=free, bandwidth=bandwidth, rows=rows, cols=cols, scatter=scatter,
+                          load=load, load_free=load[free], load_norm=np.linalg.norm(load[free]))
+    for array in (pattern.free, pattern.rows, pattern.cols, pattern.scatter, pattern.load,
+                  pattern.load_free):
         array.setflags(write=False)
     return pattern
 
@@ -338,7 +325,7 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
     E = interpolate_modulus(rho_physical.values, p, rho_low, mat, interpolation)
     k0 = element_stiffness(mat.nu)
     pattern = band_pattern(grid, bc)
-    f, ff, fnorm = bc.free_load(grid)
+    f, ff, fnorm = pattern.load, pattern.load_free, pattern.load_norm
 
     u = np.zeros_like(f)
     if fnorm == 0.0:

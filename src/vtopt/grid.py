@@ -98,20 +98,12 @@ class StructuredGrid:
         return (self.nx + 1) * (self.ny + 1)
 
     @property
-    def element_volume(self) -> float:
-        # unit out-of-plane reference thickness
-        return self.h * self.h
-
-    @property
     def width(self) -> float:
         return self.nx * self.h
 
     @property
     def height(self) -> float:
         return self.ny * self.h
-
-    def element_volumes(self) -> np.ndarray:
-        return np.full(self.n_elements, self.element_volume)
 
     def element_index(self, i: int, j: int) -> int:
         if not (0 <= i < self.nx and 0 <= j < self.ny):
@@ -189,10 +181,3 @@ class StructuredGrid:
         counts = np.bincount(src, minlength=self.n_elements)
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return NeighborTable(indptr=indptr, indices=dst)
-
-
-def neighborhood(grid: StructuredGrid, e: int, r: float) -> set[int]:
-    """Element ids whose centers lie within max(r, 1.5h) of element e's center."""
-    if not (0 <= e < grid.n_elements):
-        raise IndexError(f"element id {e} outside grid with {grid.n_elements} elements")
-    return set(int(i) for i in grid.neighbor_table(r).row(e))

@@ -80,17 +80,16 @@ class IterationRecord:
     lt_fraction: float
 
 
-def delta_rho_mean(rho_old: np.ndarray, rho_new: np.ndarray, volumes: np.ndarray) -> float:
-    """Volume-weighted mean absolute density change between iterations."""
+def delta_rho_mean(rho_old: np.ndarray, rho_new: np.ndarray) -> float:
+    """Mean absolute density change between iterations."""
     rho_old = np.asarray(rho_old, dtype=float)
     rho_new = np.asarray(rho_new, dtype=float)
-    if rho_old.shape != rho_new.shape or rho_old.shape != np.shape(volumes):
-        raise ValueError("field and volume lengths must match")
-    return float(np.sum(volumes * np.abs(rho_new - rho_old)) / np.sum(volumes))
+    if rho_old.shape != rho_new.shape:
+        raise ValueError("field lengths must match")
+    return float(np.mean(np.abs(rho_new - rho_old)))
 
 
-def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
-                vol_target: float, volumes: np.ndarray,
+def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float, vol_target: float,
                 physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                 lam_seed: float = 1.0) -> tuple[np.ndarray, float]:
     """Multiplicative exponential design update with a searched volume multiplier.
@@ -101,8 +100,8 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
     volume fraction w.r.t. rho_new.
 
     The volume excess falls as lam grows, so lam is found by Newton's method in
-    t = log(lam), measured from the volume-weighted mean of -dF / dG so that the
-    search does not depend on the problem's scale. The slope of a trial is the
+    t = log(lam), measured from the mean of -dF / dG so that the search does
+    not depend on the problem's scale. The slope of a trial is the
     volume gradient times d rho_new / dt = -DAMPING * rho_new on the elements no
     clip holds; once two trials lie on one side of the root, their secant takes
     its place, which corrects a slope biased by the parts of the chain that the
@@ -130,8 +129,7 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
         raise ValueError("lam_seed must be positive")
 
     base_ratio = np.minimum(-dF, RATIO_CAP * dG) / dG   # divides without overflow
-    total_volume = np.sum(volumes)
-    scale = float(np.sum(volumes * base_ratio) / total_volume) or 1.0
+    scale = float(np.mean(base_ratio)) or 1.0
     relative_ratio = base_ratio / scale
     lower, upper = np.maximum(rho - step, 0.0), np.minimum(rho + step, 1.0)
 
@@ -144,7 +142,7 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float,
         held_high = (scaled >= RATIO_CAP) | (grown >= upper)
         free = ~(held_low | held_high)
         phys, grad = physical_map(new)
-        excess = float(np.sum(volumes * phys) / total_volume) - vol_target
+        excess = float(np.mean(phys)) - vol_target
         stuck = bool((held_low if excess > 0.0 else held_high).all())
         return excess, -DAMPING * float(grad[free] @ new[free]), new, stuck
 
@@ -245,8 +243,7 @@ def run_optimization(setup: "ProblemSetup",
     continuation at its end.
     """
     grid, cfg = setup.grid, setup.config
-    volumes = grid.element_volumes()
-    vol_grad_phys = volumes / np.sum(volumes)
+    vol_grad_phys = np.full(grid.n_elements, 1.0 / grid.n_elements)
     state, end = setup.continuation_start, setup.continuation_end
 
     rho = np.full(grid.n_elements, cfg.rho_init)
@@ -268,20 +265,19 @@ def run_optimization(setup: "ProblemSetup",
         solution, dF = _analyse(setup, chain, state.p)
         dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
         dG = np.maximum(dG, 1e-300)
-        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, volumes, physical_map,
-                                   lam_seed=lam)
-        drho = delta_rho_mean(rho, rho_new, volumes)
+        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, physical_map, lam_seed=lam)
+        drho = delta_rho_mean(rho, rho_new)
 
         record = IterationRecord(
             iteration=iteration,
             compliance=solution.compliance,
-            vol_frac=float(np.sum(volumes * chain.rho_physical.values) / np.sum(volumes)),
+            vol_frac=float(np.mean(chain.rho_physical.values)),
             drho_mean=drho,
             p=state.p,
             beta_hat=state.beta_hat,
             beta_bar=state.beta_bar,
             step=step,
-            lt_fraction=low_thickness_fraction(chain.rho_physical.values, volumes, cfg.rho_low),
+            lt_fraction=low_thickness_fraction(chain.rho_physical.values, cfg.rho_low),
         )
         history.append(record)
         if callback is not None:
@@ -307,6 +303,6 @@ def run_optimization(setup: "ProblemSetup",
         converged=converged,
         iterations=len(history),
         compliance=solution.compliance,
-        vol_frac=float(np.sum(volumes * chain.rho_physical.values) / np.sum(volumes)),
-        lt_fraction=low_thickness_fraction(chain.rho_physical.values, volumes, cfg.rho_low),
+        vol_frac=float(np.mean(chain.rho_physical.values)),
+        lt_fraction=low_thickness_fraction(chain.rho_physical.values, cfg.rho_low),
     )

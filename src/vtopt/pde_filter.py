@@ -86,7 +86,7 @@ class DensityFilter:
     def apply_transpose(self, grad: np.ndarray) -> np.ndarray:
         """Transpose action for the sensitivity chain rule.
 
-        The element-to-element operator is symmetric (uniform volumes), so this
+        The element-to-element operator is symmetric (equal elements), so this
         is the same solve without the density clamp.
         """
         return self._solve(self._check(grad))

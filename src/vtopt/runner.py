@@ -71,7 +71,7 @@ class SuiteRow:
     iterations: int | None
 
 
-def _suite_variants(cfg: RunConfig, suite: str, radii=None):
+def _suite_variants(cfg: RunConfig, suite: str):
     """(name, config, normalization group) triples for each suite member."""
     if suite == "lt_modes":
         combos = [
@@ -83,10 +83,8 @@ def _suite_variants(cfg: RunConfig, suite: str, radii=None):
         return [(name, cfg.replace(penalized_reference=False, **over), "all")
                 for name, over in combos]
     if suite == "dgi_radius_sharpness":
-        if radii is None:
-            radii = [cfg.h, 1.5 * cfg.h, 2.0 * cfg.h]
         variants = []
-        for r in radii:
+        for r in (cfg.h, 1.5 * cfg.h, 2.0 * cfg.h):
             for beta in (None, 5.0, 10.0, 25.0):
                 name = f"r{r:g}_" + ("off" if beta is None else f"b{beta:g}")
                 over = dict(filter_radius=r, penalized_reference=False,
@@ -106,7 +104,7 @@ def _suite_variants(cfg: RunConfig, suite: str, radii=None):
     raise VtoptError(f"unknown suite {suite!r}, expected one of {SUITES}")
 
 
-def run_ablation_suite(cfg: RunConfig, suite: str, radii=None) -> list[SuiteRow]:
+def run_ablation_suite(cfg: RunConfig, suite: str) -> list[SuiteRow]:
     """Run a study matrix; each member writes into its own subdirectory.
 
     Compliance is normalized per group against the group's first member (for the
@@ -118,7 +116,7 @@ def run_ablation_suite(cfg: RunConfig, suite: str, radii=None) -> list[SuiteRow]
 
     rows: list[SuiteRow] = []
     groups: list[str] = []
-    for name, member_cfg, group in _suite_variants(cfg, suite, radii=radii):
+    for name, member_cfg, group in _suite_variants(cfg, suite):
         member_cfg = member_cfg.replace(output_dir=str(suite_dir / name))
         beta = member_cfg.beta_hat_max if member_cfg.dgi else None
         try:

@@ -301,3 +301,20 @@ def test_stiffness_scales_past_the_float_range_run_to_an_end(tmp_path, E0):
     assert main(["run", str(cfg)]) == 3
     last = read_history(tmp_path / "out" / "history.csv")[-1]
     assert last["vol_frac"] == pytest.approx(0.3, abs=1e-3)
+
+
+def run_compliance(tmp_path, h):
+    """The compliance metrics.txt reports after `vtopt run` on 8x4 at element size h."""
+    out = tmp_path / f"h{h:g}"
+    cfg = write_cfg(tmp_path, f"nx = 8\nny = 4\nh = {h}\nfilter_radius = {1.5 * h}\n"
+                    f"output_dir = {out}\n")
+    assert main(["run", str(cfg)]) == 0
+    metrics = dict(line.split(" = ", 1) for line in (out / "metrics.txt").read_text().splitlines())
+    return float(metrics["compliance"])
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e200])
+def test_element_sizes_past_the_float_range_run_like_a_unit_size(tmp_path, h):
+    # square elements make the stiffness size-free and the volume a plain mean, so
+    # h enters only through lengths, which scale with it
+    assert run_compliance(tmp_path, h) == pytest.approx(run_compliance(tmp_path, 0.25), rel=1e-9)

@@ -13,28 +13,23 @@ from vtopt.projections import dgi_project, neighborhood_stats
 
 class TestLowThicknessFraction:
     def test_all_solid(self):
-        assert low_thickness_fraction(np.ones(10), np.ones(10), 0.1) == 0.0
+        assert low_thickness_fraction(np.ones(10), 0.1) == 0.0
 
     def test_all_undesired(self):
-        assert low_thickness_fraction(np.full(10, 0.05), np.ones(10), 0.1) == 1.0
+        assert low_thickness_fraction(np.full(10, 0.05), 0.1) == 1.0
 
     def test_mixed_hand_example(self):
         rho = np.array([0.0005, 0.05, 0.5, 1.0])
-        assert low_thickness_fraction(rho, np.ones(4), 0.1) == pytest.approx(1 / 3)
+        assert low_thickness_fraction(rho, 0.1) == pytest.approx(1 / 3)
 
     def test_all_void_returns_zero(self):
-        assert low_thickness_fraction(np.zeros(5), np.ones(5), 0.1) == 0.0
-
-    def test_volume_weighting(self):
-        rho = np.array([0.05, 0.5])
-        volumes = np.array([1.0, 3.0])
-        assert low_thickness_fraction(rho, volumes, 0.1) == pytest.approx(0.25)
+        assert low_thickness_fraction(np.zeros(5), 0.1) == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             rho = rng.uniform(0, 1, 30)
-            frac = low_thickness_fraction(rho, np.ones(30), 0.1)
+            frac = low_thickness_fraction(rho, 0.1)
             assert 0.0 <= frac <= 1.0
 
 

@@ -152,7 +152,6 @@ class TestBoundaryConditions:
         grid = StructuredGrid(8, 4, 0.25)
         bc = cantilever_bc(grid)
         dofs = bc.fixed_dofs()
-        assert dofs is bc.fixed_dofs()
         assert not dofs.flags.writeable
         left_edge = 2 * (grid.nx + 1) * np.arange(grid.ny + 1)
         np.testing.assert_array_equal(dofs, np.ravel(left_edge[:, None] + [0, 1]))
@@ -168,20 +167,40 @@ class TestBoundaryConditions:
         np.testing.assert_array_equal(bc.fixed_dofs(), [0, 1, 3])
 
     def test_free_load_is_built_once_per_grid_size_and_read_only(self, monkeypatch):
+        fem._band_pattern.cache_clear()
         grid = StructuredGrid(8, 4, 0.25)
         bc = cantilever_bc(grid, load_fx=0.3)
-        f, ff, norm = bc.free_load(grid)
-        expected = bc.load_vector(2 * grid.n_nodes)
-        np.testing.assert_array_equal(f, expected)
-        np.testing.assert_array_equal(ff, expected[band_pattern(grid, bc).free])
-        assert norm == np.linalg.norm(ff)
-        assert not f.flags.writeable and not ff.flags.writeable
+        build, built = BoundaryConditions.load_vector, []
         monkeypatch.setattr(BoundaryConditions, "load_vector",
-                            lambda *a: pytest.fail("load vector rebuilt"))
-        assert all(a is b for a, b in zip(bc.free_load(grid), (f, ff, norm)))
+                            lambda self, n: built.append(n) or build(self, n))
         field = ElementField(np.full(grid.n_elements, 0.6), "physical")
         assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
         assemble_and_solve(grid, bc, field, 3.0, 0.1, MaterialModel())
+        assert built == [2 * grid.n_nodes]
+        pattern = band_pattern(grid, bc)
+        expected = build(bc, 2 * grid.n_nodes)
+        np.testing.assert_array_equal(pattern.load, expected)
+        np.testing.assert_array_equal(pattern.load_free, expected[pattern.free])
+        assert pattern.load_norm == np.linalg.norm(pattern.load_free)
+        assert not pattern.load.flags.writeable and not pattern.load_free.flags.writeable
+
+    def test_same_supports_with_other_loads_keep_their_own_load(self):
+        grid = StructuredGrid(8, 4, 0.25)
+        mat = MaterialModel()
+        field = ElementField(np.random.default_rng(3).uniform(0.05, 1.0, grid.n_elements),
+                             "physical")
+        E = interpolate_modulus(field.values, 3.0, 0.1, mat)
+        down, sideways = cantilever_bc(grid), cantilever_bc(grid, load_fx=1.0, load_fy=0.0)
+        assert down.fixed == sideways.fixed
+        compliances = []
+        for bc in (down, sideways):
+            np.testing.assert_array_equal(band_pattern(grid, bc).load,
+                                          bc.load_vector(2 * grid.n_nodes))
+            compliances.append(assemble_and_solve(grid, bc, field, 3.0, 0.1, mat).compliance)
+            assert compliances[-1] == pytest.approx(dense_solve(grid, bc, E, mat.nu)[1], rel=1e-10)
+        assert compliances[0] != compliances[1]
+        assert cantilever_bc(grid) == down and cantilever_bc(grid) is not down
+        assert band_pattern(grid, cantilever_bc(grid)) is band_pattern(grid, down)
 
     def test_singular_system_is_a_structural_error(self):
         grid = StructuredGrid(3, 2, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vtopt.errors import ConfigError
-from vtopt.grid import ElementField, StructuredGrid, neighborhood
+from vtopt.grid import ElementField, StructuredGrid
 
 
 def brute_force_neighborhood(grid, e, r):
@@ -32,7 +32,7 @@ class TestBuildGrid:
         g = StructuredGrid(3, 2, 0.5)
         assert g.n_elements == 6
         assert g.n_nodes == 12
-        assert g.element_volume * g.n_elements == pytest.approx(1.5)
+        assert g.width * g.height == pytest.approx(1.5)
 
     @pytest.mark.parametrize("nx,ny,h", [(0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, -1.0)])
     def test_rejects_bad_dimensions(self, nx, ny, h):
@@ -57,7 +57,7 @@ class TestNeighborhood:
     def test_interior_default_radius_is_full_block(self):
         g = StructuredGrid(5, 5, 1.0)
         e = g.element_index(2, 2)
-        nbrs = neighborhood(g, e, 1.5)
+        nbrs = set(g.neighbor_table(1.5).row(e).tolist())
         assert len(nbrs) == 9
         expected = {g.element_index(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
         assert nbrs == expected
@@ -65,23 +65,23 @@ class TestNeighborhood:
     def test_zero_radius_uses_floor(self):
         g = StructuredGrid(5, 5, 1.0)
         e = g.element_index(2, 2)
-        nbrs = neighborhood(g, e, 0.0)
+        nbrs = set(g.neighbor_table(0.0).row(e).tolist())
         assert nbrs != {e}
         assert len(nbrs) == 9
 
     def test_corner_of_2x2(self):
         g = StructuredGrid(2, 2, 1.0)
-        assert neighborhood(g, 0, 1.5) == {0, 1, 2, 3}
+        assert g.neighbor_table(1.5).row(0).tolist() == [0, 1, 2, 3]
 
     def test_contains_self_always(self):
         g = StructuredGrid(6, 4, 0.5)
         for e in range(g.n_elements):
-            assert e in neighborhood(g, e, 0.9)
+            assert e in g.neighbor_table(0.9).row(e)
 
     def test_invalid_element(self):
         g = StructuredGrid(3, 3, 1.0)
         with pytest.raises(IndexError):
-            neighborhood(g, 9, 1.0)
+            g.neighbor_table(1.0).row(9)
 
     def test_negative_radius(self):
         g = StructuredGrid(3, 3, 1.0)
@@ -92,14 +92,14 @@ class TestNeighborhood:
         g = StructuredGrid(7, 5, 0.25)
         for r in (0.3, 0.55, 1.0):
             for e in range(g.n_elements):
-                for other in neighborhood(g, e, r):
-                    assert e in neighborhood(g, other, r)
+                for other in g.neighbor_table(r).row(e):
+                    assert e in g.neighbor_table(r).row(other)
 
     def test_monotonicity_in_radius(self):
         g = StructuredGrid(6, 6, 1.0)
         radii = [0.0, 1.0, 1.7, 2.5, 3.1]
         for e in range(g.n_elements):
-            sets = [neighborhood(g, e, r) for r in radii]
+            sets = [set(g.neighbor_table(r).row(e).tolist()) for r in radii]
             for smaller, larger in zip(sets, sets[1:]):
                 assert smaller <= larger
 
@@ -107,7 +107,7 @@ class TestNeighborhood:
     def test_matches_brute_force(self, nx, ny, r):
         g = StructuredGrid(nx, ny, 1.0)
         for e in range(g.n_elements):
-            assert neighborhood(g, e, r) == brute_force_neighborhood(g, e, r)
+            assert set(g.neighbor_table(r).row(e).tolist()) == brute_force_neighborhood(g, e, r)
 
     @pytest.mark.parametrize("r", [0.0, 0.375, 0.6, 1.5])
     def test_spans_describe_the_table(self, r):

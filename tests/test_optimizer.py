@@ -119,115 +119,99 @@ class TestContinuationRamps:
 
 class TestDeltaRhoMean:
     def test_identical_fields(self):
-        v = np.ones(4)
-        assert delta_rho_mean(np.full(4, 0.3), np.full(4, 0.3), v) == 0.0
+        assert delta_rho_mean(np.full(4, 0.3), np.full(4, 0.3)) == 0.0
 
     def test_uniform_change(self):
-        v = np.ones(10)
         old = np.full(10, 0.5)
-        assert delta_rho_mean(old, old + 0.01, v) == pytest.approx(0.01)
+        assert delta_rho_mean(old, old + 0.01) == pytest.approx(0.01)
 
     def test_hand_example(self):
         old = np.array([0.2, 0.4])
         new = np.array([0.3, 0.1])
-        assert delta_rho_mean(old, new, np.ones(2)) == pytest.approx(0.2)
+        assert delta_rho_mean(old, new) == pytest.approx(0.2)
 
     def test_signed_changes_do_not_cancel(self):
         old = np.array([0.2, 0.4])
         new = np.array([0.3, 0.3])
-        assert delta_rho_mean(old, new, np.ones(2)) == pytest.approx(0.1)
-
-    def test_volume_weighting(self):
-        old = np.array([0.0, 0.0])
-        new = np.array([0.1, 0.3])
-        volumes = np.array([3.0, 1.0])
-        assert delta_rho_mean(old, new, volumes) == pytest.approx((3 * 0.1 + 1 * 0.3) / 4)
+        assert delta_rho_mean(old, new) == pytest.approx(0.1)
 
 
-def identity_map(volumes):
+def identity_map(rho):
     """A physical map that leaves the field as it is, with its volume-fraction gradient."""
-    return lambda rho: (rho, volumes / np.sum(volumes))
+    return rho, np.full(rho.size, 1 / rho.size)
 
 
 class TestGocmUpdate:
     def test_stationarity(self):
         # proportional sensitivities at target volume: multiplier makes B = 1
         rho = np.array([0.2, 0.3, 0.4, 0.3])
-        volumes = np.ones(4)
-        dG = volumes / volumes.sum()
+        dG = np.full(4, 1 / 4)
         dF = -2.5 * dG
-        new, lam = gocm_update(rho, dF, dG, 0.05, 0.3, volumes, identity_map(volumes))
+        new, lam = gocm_update(rho, dF, dG, 0.05, 0.3, identity_map)
         assert np.abs(new - rho).max() < 1e-5
         assert lam == pytest.approx(2.5, rel=1e-3)
 
     def test_vanishing_step_freezes_design(self):
         rng = np.random.default_rng(0)
         rho = rng.uniform(0.1, 0.9, 6)
-        volumes = np.ones(6)
-        dG = volumes / volumes.sum()
+        dG = np.full(6, 1 / 6)
         dF = -rng.uniform(0.5, 2.0, 6) * dG
-        new, _ = gocm_update(rho, dF, dG, 1e-9, float(rho.mean()), volumes, identity_map(volumes))
+        new, _ = gocm_update(rho, dF, dG, 1e-9, float(rho.mean()), identity_map)
         assert np.abs(new - rho).max() <= 1e-9 + 1e-12
 
     def test_hits_volume_target(self):
         rng = np.random.default_rng(1)
         rho = rng.uniform(0.1, 0.9, 50)
-        volumes = np.ones(50)
-        dG = volumes / volumes.sum()
+        dG = np.full(50, 1 / 50)
         dF = -rng.uniform(0.1, 5.0, 50) * dG
         target = float(rho.mean()) - 0.02   # reachable within the move limit
-        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes, identity_map(volumes))
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, identity_map)
         assert abs(new.mean() - target) <= 1e-6
 
     def test_unreachable_target_saturates_move_limit(self):
         rho = np.full(20, 0.5)
-        volumes = np.ones(20)
-        dG = volumes / volumes.sum()
+        dG = np.full(20, 1 / 20)
         dF = -np.full(20, 1.0) * dG
-        new, _ = gocm_update(rho, dF, dG, 0.05, 0.1, volumes, identity_map(volumes))
+        new, _ = gocm_update(rho, dF, dG, 0.05, 0.1, identity_map)
         assert new.mean() == pytest.approx(0.45)   # moved the full step toward feasibility
 
     def test_inactive_constraint_saturates(self):
         rho = np.full(8, 0.9)
-        volumes = np.ones(8)
-        dG = volumes / volumes.sum()
+        dG = np.full(8, 1 / 8)
         dF = -np.full(8, 1.0)
-        new, _ = gocm_update(rho, dF, dG, 0.05, 1.0, volumes, identity_map(volumes))
+        new, _ = gocm_update(rho, dF, dG, 0.05, 1.0, identity_map)
         assert (new >= rho).all()   # everything may grow toward solid
 
     def test_bounds_respected(self):
         rng = np.random.default_rng(2)
         rho = rng.uniform(0, 1, 100)
-        volumes = np.ones(100)
-        dG = volumes / volumes.sum()
+        dG = np.full(100, 1 / 100)
         dF = -rng.uniform(0, 10, 100) * dG
-        new, _ = gocm_update(rho, dF, dG, 0.5, 0.3, volumes, identity_map(volumes))
+        new, _ = gocm_update(rho, dF, dG, 0.5, 0.3, identity_map)
         assert (new >= 0).all() and (new <= 1).all()
 
     def test_move_limit_respected(self):
         rng = np.random.default_rng(3)
         rho = rng.uniform(0.2, 0.8, 40)
-        volumes = np.ones(40)
-        dG = volumes / volumes.sum()
+        dG = np.full(40, 1 / 40)
         dF = -rng.uniform(0.01, 100.0, 40) * dG
         step = 0.03
-        new, _ = gocm_update(rho, dF, dG, step, 0.5, volumes, identity_map(volumes))
+        new, _ = gocm_update(rho, dF, dG, step, 0.5, identity_map)
         assert np.abs(new - rho).max() <= step + 1e-12
 
     @staticmethod
     def cube_case():
         rng = np.random.default_rng(4)
         rho = rng.uniform(0.2, 0.9, 50)
-        volumes = np.ones(50)
         dG = 3.0 * rho ** 2 / 50   # gradient of the mean of the cube
         dF = -rng.uniform(0.1, 5.0, 50) * dG
         target = float(np.mean(rho ** 3)) - 0.01   # reachable within the move limit
-        return rho, dF, dG, volumes, target
+        return rho, dF, dG, target
 
     @pytest.mark.parametrize("lam_seed", [1e-30, 1e30])
     def test_nonlinear_physical_map_from_far_seeds(self, lam_seed):
-        rho, dF, dG, volumes, target = self.cube_case()
-        new, lam = gocm_update(rho, dF, dG, 0.05, target, volumes,
+        rho, dF, dG, target = self.cube_case()
+        new, lam = gocm_update(rho, dF, dG, 0.05, target,
                                physical_map=lambda x: (x ** 3, 3.0 * x ** 2 / x.size),
                                lam_seed=lam_seed)
         assert abs(np.mean(new ** 3) - target) <= 1e-6
@@ -235,28 +219,28 @@ class TestGocmUpdate:
 
     @pytest.mark.parametrize("slope_error", [0.5, 2.0])
     def test_wrong_slope_still_converges(self, slope_error):
-        rho, dF, dG, volumes, target = self.cube_case()
+        rho, dF, dG, target = self.cube_case()
         passes = []
 
         def cube(x):
             passes.append(1)
             return x ** 3, slope_error * 3.0 * x ** 2 / x.size
 
-        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes, physical_map=cube)
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, physical_map=cube)
         assert abs(np.mean(new ** 3) - target) <= 1e-6
         assert len(passes) <= optimizer.MAX_ROOT_STEPS
 
     def test_seed_at_the_root_needs_one_pass(self):
-        rho, dF, dG, volumes, target = self.cube_case()
+        rho, dF, dG, target = self.cube_case()
         passes = []
 
         def cube(x):
             passes.append(1)
             return x ** 3, 3.0 * x ** 2 / x.size
 
-        _, lam = gocm_update(rho, dF, dG, 0.05, target, volumes, physical_map=cube)
+        _, lam = gocm_update(rho, dF, dG, 0.05, target, physical_map=cube)
         passes.clear()
-        new, _ = gocm_update(rho, dF, dG, 0.05, target, volumes, physical_map=cube, lam_seed=lam)
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, physical_map=cube, lam_seed=lam)
         assert abs(np.mean(new ** 3) - target) <= 1e-6
         assert len(passes) == 1
 
@@ -264,23 +248,22 @@ class TestGocmUpdate:
     def test_multiplier_search_ignores_the_sensitivity_scale(self, E0):
         rng = np.random.default_rng(5)
         rho = rng.uniform(0.1, 0.9, 50)
-        volumes = np.ones(50)
-        dG = volumes / volumes.sum()
+        dG = np.full(50, 1 / 50)
         dF = -rng.uniform(0.1, 5.0, 50) * dG / E0
         target = float(rho.mean()) - 0.02
-        new, lam = gocm_update(rho, dF, dG, 0.05, target, volumes, identity_map(volumes))
+        new, lam = gocm_update(rho, dF, dG, 0.05, target, identity_map)
         assert abs(new.mean() - target) <= 1e-6
         assert 1e-60 < lam * E0 < 1e60
 
     def test_rejects_positive_objective_gradient(self):
         with pytest.raises(ValueError):
-            gocm_update(np.array([0.5]), np.array([1.0]), np.array([1.0]), 0.05, 0.3, np.ones(1),
-                        identity_map(np.ones(1)))
+            gocm_update(np.array([0.5]), np.array([1.0]), np.array([1.0]), 0.05, 0.3,
+                        identity_map)
 
     def test_rejects_nonpositive_constraint_gradient(self):
         with pytest.raises(ValueError):
-            gocm_update(np.array([0.5]), np.array([-1.0]), np.array([0.0]), 0.05, 0.3, np.ones(1),
-                        identity_map(np.ones(1)))
+            gocm_update(np.array([0.5]), np.array([-1.0]), np.array([0.0]), 0.05, 0.3,
+                        identity_map)
 
 
 def toy_setup():
