@@ -14,7 +14,7 @@ from .config import parse_config
 from .diagnostics import gradient_check, line_profile, transition_width
 from .errors import ConfigError, GeometryError, NumericalError, StructuralError, VtoptError
 from .export import read_field_text
-from .grid import StructuredGrid
+from .grid import StructuredGrid, load_node
 from .runner import SUITES, run_ablation_suite, run_single
 
 EXIT_OK = 0
@@ -83,11 +83,14 @@ def _cmd_gradcheck(args) -> int:
     cfg = parse_config(args.config)
     reduced = cfg.nx > 8 or cfg.ny > 4
     if reduced:
-        # the load keeps its place relative to the shrunken domain; no profile is measured
+        # the load keeps its place relative to the shrunken domain, one node off the
+        # clamped edge if the coarser grid puts it there; no profile is measured
         nx, ny = min(cfg.nx, 8), min(cfg.ny, 4)
-        cfg = cfg.replace(nx=nx, ny=ny, width_profile=None,
-                          load_x=None if cfg.load_x is None else cfg.load_x * nx / cfg.nx,
-                          load_y=None if cfg.load_y is None else cfg.load_y * ny / cfg.ny)
+        i, j = load_node(nx, ny, cfg.h, None if cfg.load_x is None else cfg.load_x * nx / cfg.nx,
+                         None if cfg.load_y is None else cfg.load_y * ny / cfg.ny)
+        i = {"left": max(i, 1), "right": min(i, nx - 1)}.get(cfg.clamp_edge, i)
+        j = {"bottom": max(j, 1), "top": min(j, ny - 1)}.get(cfg.clamp_edge, j)
+        cfg = cfg.replace(nx=nx, ny=ny, width_profile=None, load_x=i * cfg.h, load_y=j * cfg.h)
     error = gradient_check(cfg, n_probe=args.probes, fd_step=args.fd_step)
     if reduced:
         print(f"note: grid reduced to {cfg.nx}x{cfg.ny} for the check", file=sys.stderr)

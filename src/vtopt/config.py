@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .grid import edge_nodes, load_node
 
 CLAMP_EDGES = ("left", "right", "bottom", "top")
 CONTINUATION_MODES = ("sequential", "simultaneous")
@@ -96,14 +97,10 @@ class RunConfig:
                  f"must lie in [0, nx*h] = [0, {width:g}]")
         _require(self.load_y is None or 0 <= self.load_y <= height, "load_y",
                  f"must lie in [0, ny*h] = [0, {height:g}]")
-        # the load sits on the node nearest (load_x, load_y), as cantilever_bc places it
-        load_x = width if self.load_x is None else self.load_x
-        load_y = height / 2.0 if self.load_y is None else self.load_y
-        li, lj = round(load_x / self.h), round(load_y / self.h)
-        clamped = {"left": li == 0, "right": li == self.nx, "bottom": lj == 0, "top": lj == self.ny}
-        _require(not clamped[self.clamp_edge], "clamp_edge",
-                 f"{self.clamp_edge} fixes the load node nearest (load_x, load_y) = "
-                 f"({load_x:g}, {load_y:g})")
+        li, lj = load_node(self.nx, self.ny, self.h, self.load_x, self.load_y)
+        _require((li, lj) not in edge_nodes(self.nx, self.ny, self.clamp_edge), "clamp_edge",
+                 f"{self.clamp_edge} fixes the load node nearest (load_x, load_y), "
+                 f"at ({li * self.h:g}, {lj * self.h:g})")
         _require(self.E0 > 0, "E0", "must be positive")
         _require(0 <= self.nu < 0.5, "nu", "must be in [0, 0.5)")
         _require(0 < self.rho_min < 1, "rho_min", "must be in (0, 1)")
@@ -165,20 +162,11 @@ def _parse_width_profile(text: str):
     return (float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4]))
 
 
-_PARSERS = {
-    "nx": int, "ny": int, "max_iters": int, "snapshot_every": int, "seed": int,
-    "h": float, "load_x": float, "load_y": float, "load_fx": float, "load_fy": float,
-    "E0": float, "nu": float, "rho_min": float,
-    "filter_radius": float, "dgi_radius": float, "rho_low": float,
-    "beta_bar_init": float, "beta_bar_max": float, "beta_hat_init": float, "beta_hat_max": float,
-    "p_init": float, "p_max": float, "c_p": float, "c_beta_hat": float, "c_beta_bar": float,
-    "step_init": float, "step_decay": float, "step_min": float,
-    "vol_frac": float, "rho_init": float, "tol_drho": float,
-    "lt_simp": _parse_bool, "lt_projection": _parse_bool, "dgi": _parse_bool,
-    "penalized_reference": _parse_bool,
-    "clamp_edge": str, "continuation_mode": str, "solver": str,
-    "output_dir": str, "width_profile": _parse_width_profile,
-}
+# parser per declared field type (annotations are strings here); a RunConfig
+# field of any other type fails this module's import
+_TYPE_PARSERS = {"int": int, "float": float, "float | None": float, "bool": _parse_bool, "str": str}
+_PARSERS = {f.name: _parse_width_profile if f.name == "width_profile" else _TYPE_PARSERS[f.type]
+            for f in dataclasses.fields(RunConfig)}
 _FLOAT_KEYS = tuple(key for key, parse in _PARSERS.items() if parse is float)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import StructuredGrid
+from .grid import ElementField, StructuredGrid
 from .optimizer import IterationRecord
 
 HISTORY_HEADER = "iter,compliance,vol_frac,drho_mean,p,beta_hat,beta_bar,step,lt_fraction"
@@ -96,13 +96,12 @@ def write_metrics(path, metrics: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_snapshots(outdir, grid: StructuredGrid, tag: str, fields: dict) -> None:
-    """Text + graymap snapshot of each stage, named <tag>_<stage>.{txt,pgm}."""
+def write_snapshots(outdir, grid: StructuredGrid, tag: str, fields: tuple[ElementField, ...]) -> None:
+    """Text + graymap snapshot of each field, named <tag>_<field.stage>.{txt,pgm}."""
     outdir = Path(outdir)
-    for stage, field in fields.items():
-        values = field.values
-        write_field_text(outdir / f"{tag}_{stage}.txt", grid, values)
-        write_field_pgm(outdir / f"{tag}_{stage}.pgm", grid, values)
+    for field in fields:
+        write_field_text(outdir / f"{tag}_{field.stage}.txt", grid, field.values)
+        write_field_pgm(outdir / f"{tag}_{field.stage}.pgm", grid, field.values)
 
 
 def snapshot_tag(iteration: int) -> str:

@@ -16,11 +16,9 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf
 
 from .errors import NumericalError, StaleStateError, StructuralError
-from .grid import ElementField, StructuredGrid
+from .grid import ElementField, StructuredGrid, edge_nodes, load_node
 
 DIRECT_RESIDUAL_TOL = 1e-10
-
-INTERPOLATIONS = ("selective", "global")
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,16 @@ class BoundaryConditions:
 
 @dataclass
 class StateSolution:
-    """Displacements and compliance of one state solve, pinned to a field revision.
+    """Displacements and compliance of one state solve of the physical ``field``.
 
+    The solve keeps the field object itself; fields are read-only, so identity
+    tells whether a later caller still holds the field that was solved for.
     ``moduli`` are the element Young's moduli the solve assembled K from.
     """
 
     u: np.ndarray
     compliance: float
-    field_revision: int
+    field: ElementField
     residual: float
     moduli: np.ndarray
 
@@ -277,26 +277,9 @@ def cantilever_bc(grid: StructuredGrid, clamp_edge: str = "left",
     Defaults reproduce the benchmark: left edge clamped, unit downward load at
     the right-edge mid-height node.
     """
-    nx, ny, h = grid.nx, grid.ny, grid.h
-    if clamp_edge == "left":
-        clamp_nodes = [grid.node_index(0, j) for j in range(ny + 1)]
-    elif clamp_edge == "right":
-        clamp_nodes = [grid.node_index(nx, j) for j in range(ny + 1)]
-    elif clamp_edge == "bottom":
-        clamp_nodes = [grid.node_index(i, 0) for i in range(nx + 1)]
-    elif clamp_edge == "top":
-        clamp_nodes = [grid.node_index(i, ny) for i in range(nx + 1)]
-    else:
-        raise ValueError(f"unknown clamp edge {clamp_edge!r}")
-    fixed = [(n, a) for n in clamp_nodes for a in (0, 1)]
-
-    if load_x is None:
-        load_x = nx * h
-    if load_y is None:
-        load_y = ny * h / 2.0
-    li = int(np.clip(round(load_x / h), 0, nx))
-    lj = int(np.clip(round(load_y / h), 0, ny))
-    node = grid.node_index(li, lj)
+    fixed = [(grid.node_index(i, j), a)
+             for i, j in edge_nodes(grid.nx, grid.ny, clamp_edge) for a in (0, 1)]
+    node = grid.node_index(*load_node(grid.nx, grid.ny, grid.h, load_x, load_y))
     loads = []
     if load_fx != 0.0:
         loads.append((node, 0, load_fx))
@@ -347,17 +330,16 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
                                  f"{DIRECT_RESIDUAL_TOL:.0e}")
 
     compliance = float(f @ u)
-    return StateSolution(u=u, compliance=compliance,
-                         field_revision=rho_physical.revision, residual=residual, moduli=E)
+    return StateSolution(u=u, compliance=compliance, field=rho_physical, residual=residual,
+                         moduli=E)
 
 
 def compliance_sensitivity(grid: StructuredGrid, solution: StateSolution,
                            rho_physical: ElementField, p: float, rho_low: float,
                            mat: MaterialModel, interpolation: str = "selective") -> np.ndarray:
     """d(compliance)/d(physical density) per element; nonpositive everywhere."""
-    if solution.field_revision != rho_physical.revision:
-        raise StaleStateError("displacements were solved for a different density field "
-                              f"(revision {solution.field_revision} != {rho_physical.revision})")
+    if solution.field is not rho_physical:
+        raise StaleStateError("displacements were solved for a different density field")
     k0 = element_stiffness(mat.nu)
     edof = element_dof_map(grid)
     ue = solution.u[edof]

@@ -1,8 +1,7 @@
-"""Structured grid of square elements, density fields, and radius neighborhoods."""
+"""Structured grid of square elements, density fields, load and edge nodes, neighborhoods."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,21 +15,18 @@ MIN_NEIGHBORHOOD_FACTOR = 1.5
 
 STAGES = ("raw", "filtered", "dgi", "physical")
 
-_field_serial = itertools.count(1)
-
 
 class ElementField:
     """One scalar per element, tagged with the pipeline stage it belongs to.
 
     Values have shape (..., n_elements): one field, or a stack of fields along
     leading axes that the regularization chain maps row by row. They are
-    stored read-only; every construction gets a fresh revision number so
-    downstream caches can detect inputs that were swapped out.
-    Unpickling constructs anew, so a copy is read-only with a revision of its
-    own process's counter.
+    stored read-only, so a field is one value for its whole life and its
+    identity tells it apart: a state solve is tied to the very object it
+    solved for. Unpickling constructs anew, so a copy is read-only too.
     """
 
-    __slots__ = ("values", "stage", "revision")
+    __slots__ = ("values", "stage")
 
     def __init__(self, values, stage: str):
         values = np.array(values, dtype=float)
@@ -44,7 +40,6 @@ class ElementField:
         values.setflags(write=False)
         self.values = values
         self.stage = stage
-        self.revision = next(_field_serial)
 
     def __reduce__(self):
         return ElementField, (self.values, self.stage)
@@ -53,7 +48,24 @@ class ElementField:
         return self.values.shape[-1]
 
     def __repr__(self):
-        return f"ElementField(stage={self.stage!r}, shape={self.values.shape}, revision={self.revision})"
+        return f"ElementField(stage={self.stage!r}, shape={self.values.shape})"
+
+
+def load_node(nx: int, ny: int, h: float, x: float | None = None, y: float | None = None
+              ) -> tuple[int, int]:
+    """Indices (i, j) of the node nearest (x, y); by default the right edge at mid height."""
+    x = nx * h if x is None else x
+    y = ny * h / 2.0 if y is None else y
+    return min(max(int(round(x / h)), 0), nx), min(max(int(round(y / h)), 0), ny)
+
+
+def edge_nodes(nx: int, ny: int, edge: str) -> list[tuple[int, int]]:
+    """Indices (i, j) of the nodes on the left, right, bottom or top edge."""
+    if edge in ("left", "right"):
+        return [(0 if edge == "left" else nx, j) for j in range(ny + 1)]
+    if edge in ("bottom", "top"):
+        return [(i, 0 if edge == "bottom" else ny) for i in range(nx + 1)]
+    raise ValueError(f"unknown clamp edge {edge!r}")
 
 
 @dataclass(frozen=True)

@@ -191,15 +191,6 @@ class RunResult:
     lt_fraction: float
     transition_width: float | None = None   # along cfg.width_profile, measured by run_single
 
-    @property
-    def fields(self) -> dict[str, ElementField]:
-        return {
-            "raw": self.raw,
-            "filtered": self.chain.rho_tilde,
-            "dgi": self.chain.rho_hat,
-            "physical": self.chain.rho_physical,
-        }
-
 
 def forward(setup: "ProblemSetup", raw: np.ndarray, state: ContinuationState,
             frozen_stats: NeighborhoodStats | None = None) -> RegularizedChain:

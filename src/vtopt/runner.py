@@ -3,21 +3,18 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .config import RunConfig
 from .diagnostics import line_profile, transition_width
 from .errors import VtoptError
-from .export import (snapshot_tag, write_field_pgm, write_field_text, write_history,
-                     write_metrics, write_snapshots, write_vtk)
+from .export import snapshot_tag, write_history, write_metrics, write_snapshots, write_vtk
+from .grid import ElementField
 from .optimizer import RunResult, run_optimization
 from .problem import build_problem
 
 SUITES = ("lt_modes", "dgi_radius_sharpness", "penalization_compare")
-
-SUITE_HEADER = ["variant", "filter_radius", "beta_hat_max", "status", "compliance",
-                "normalized_compliance", "lt_fraction", "transition_width", "iterations"]
 
 
 def run_single(cfg: RunConfig) -> RunResult:
@@ -26,21 +23,18 @@ def run_single(cfg: RunConfig) -> RunResult:
     outdir.mkdir(parents=True, exist_ok=True)
     setup = build_problem(cfg)
 
+    def snapshot(tag, raw, chain):
+        write_snapshots(outdir, setup.grid, tag,
+                        (raw, chain.rho_tilde, chain.rho_hat, chain.rho_physical))
+
     def callback(record, chain, rho_raw):
         if cfg.snapshot_every > 0 and record.iteration % cfg.snapshot_every == 0:
-            tag = snapshot_tag(record.iteration)
-            write_field_text(outdir / f"{tag}_raw.txt", setup.grid, rho_raw)
-            write_field_pgm(outdir / f"{tag}_raw.pgm", setup.grid, rho_raw)
-            write_snapshots(outdir, setup.grid, tag, {
-                "filtered": chain.rho_tilde,
-                "dgi": chain.rho_hat,
-                "physical": chain.rho_physical,
-            })
+            snapshot(snapshot_tag(record.iteration), ElementField(rho_raw, "raw"), chain)
 
     result = run_optimization(setup, callback=callback)
 
     write_history(outdir / "history.csv", result.history)
-    write_snapshots(outdir, setup.grid, "final", result.fields)
+    snapshot("final", result.raw, result.chain)
     write_vtk(outdir / "design.vtk", setup.grid, result.chain.rho_physical.values)
 
     metrics = {
@@ -60,15 +54,17 @@ def run_single(cfg: RunConfig) -> RunResult:
 
 @dataclass
 class SuiteRow:
+    """One member of a suite; its fields in order are suite.csv's columns."""
+
     variant: str
-    filter_radius: float | None
+    filter_radius: float
     beta_hat_max: float | None
     status: str
-    compliance: float | None
-    normalized_compliance: float | None
-    lt_fraction: float | None
-    transition_width: float | None
-    iterations: int | None
+    compliance: float | None = None
+    normalized_compliance: float | None = None
+    lt_fraction: float | None = None
+    transition_width: float | None = None
+    iterations: int | None = None
 
 
 def _suite_variants(cfg: RunConfig, suite: str):
@@ -124,14 +120,11 @@ def run_ablation_suite(cfg: RunConfig, suite: str) -> list[SuiteRow]:
             rows.append(SuiteRow(
                 variant=name, filter_radius=member_cfg.filter_radius, beta_hat_max=beta,
                 status="ok" if result.converged else "nonconverged",
-                compliance=result.compliance, normalized_compliance=None,
-                lt_fraction=result.lt_fraction, transition_width=result.transition_width,
-                iterations=result.iterations))
+                compliance=result.compliance, lt_fraction=result.lt_fraction,
+                transition_width=result.transition_width, iterations=result.iterations))
         except VtoptError as err:
             rows.append(SuiteRow(variant=name, filter_radius=member_cfg.filter_radius,
-                                 beta_hat_max=beta, status=f"failed: {err}",
-                                 compliance=None, normalized_compliance=None,
-                                 lt_fraction=None, transition_width=None, iterations=None))
+                                 beta_hat_max=beta, status=f"failed: {err}"))
         groups.append(group)
 
     # normalize per group against the group's first completed member
@@ -158,6 +151,6 @@ def _write_suite_csv(path, rows: list[SuiteRow]) -> None:
 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SUITE_HEADER)
+        writer.writerow([f.name for f in fields(SuiteRow)])
         for row in rows:
-            writer.writerow([cell(getattr(row, key)) for key in SUITE_HEADER])
+            writer.writerow([cell(value) for value in astuple(row)])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from vtopt import runner
 from vtopt.cli import main
 from vtopt.config import CLAMP_EDGES, CONTINUATION_MODES, RunConfig, parse_config_text
-from vtopt.errors import ConfigError
+from vtopt.errors import ConfigError, NumericalError
 from vtopt.export import read_field_text, read_history
 from vtopt.runner import run_ablation_suite, run_single
 
@@ -25,11 +26,10 @@ class TestRunSingle:
         assert (out / "history.csv").exists()
         assert (out / "design.vtk").exists()
         assert (out / "metrics.txt").exists()
-        for stage in ("raw", "filtered", "dgi", "physical"):
-            assert (out / f"final_{stage}.txt").exists()
-            assert (out / f"final_{stage}.pgm").exists()
-        assert (out / "snap_000050_physical.txt").exists()
-        assert (out / "snap_000050_raw.pgm").exists()
+        for tag in ("final", "snap_000050"):
+            for stage in ("raw", "filtered", "dgi", "physical"):
+                assert (out / f"{tag}_{stage}.txt").exists()
+                assert (out / f"{tag}_{stage}.pgm").exists()
         rows = read_history(out / "history.csv")
         assert len(rows) == result.iterations
         if result.converged:
@@ -74,7 +74,9 @@ class TestSuites:
         assert rows[1].normalized_compliance == pytest.approx(
             rows[1].compliance / rows[0].compliance)
         csv_text = (tmp_path / "out" / "penalization_compare" / "suite.csv").read_text()
-        assert csv_text.splitlines()[0].startswith("variant,filter_radius,beta_hat_max,status")
+        assert csv_text.splitlines()[0] == ("variant,filter_radius,beta_hat_max,status,compliance,"
+                                            "normalized_compliance,lt_fraction,transition_width,"
+                                            "iterations")
         assert (tmp_path / "out" / "penalization_compare" / "vtto" / "history.csv").exists()
 
     def test_rows_carry_the_width_in_metrics(self, tmp_path):
@@ -107,6 +109,17 @@ class TestSuites:
             assert rows[i].normalized_compliance == pytest.approx(1.0)
         radii = sorted({r.filter_radius for r in rows})
         assert radii == pytest.approx([0.5, 0.75, 1.0])
+
+    def test_failed_member_row_names_only_the_member(self, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise NumericalError("no solve")
+        monkeypatch.setattr(runner, "run_single", fail)
+        cfg = RunConfig(nx=10, ny=5, h=0.5, output_dir=str(tmp_path / "out"))
+        rows = run_ablation_suite(cfg, "penalization_compare")
+        assert [r.status for r in rows] == ["failed: no solve"] * 2
+        lines = (tmp_path / "out" / "penalization_compare" / "suite.csv").read_text().splitlines()
+        assert lines[1:] == ["vtto,0.375,,failed: no solve,,,,,",
+                             "penalized,0.375,,failed: no solve,,,,,"]
 
     def test_unknown_suite(self, tmp_path):
         cfg = RunConfig(output_dir=str(tmp_path / "out"))
@@ -179,6 +192,14 @@ class TestCliVerbs:
 
     def test_gradcheck_shrinks_load_and_drops_profile_with_the_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST + "load_x = 6\nload_y = 1\nwidth_profile = 3 0 3 3 20\n")
+        assert main(["gradcheck", str(cfg)]) == 0
+        assert "max relative gradient error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["load_x = 1\n",
+                                      "clamp_edge = bottom\nload_x = 10\nload_y = 0.5\n"])
+    def test_gradcheck_keeps_a_load_near_the_clamped_edge_off_it(self, tmp_path, capsys, text):
+        # on the 8x4 check grid this load's nearest node lies on the clamped edge
+        cfg = write_cfg(tmp_path, text)
         assert main(["gradcheck", str(cfg)]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from vtopt.config import RunConfig, parse_config, parse_config_text
@@ -101,6 +103,35 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
+
+
+# a valid value for each key, as written in a config file and as parsed
+FIELD_VALUES = {
+    "nx": ("40", 40), "ny": ("20", 20), "h": ("0.5", 0.5), "clamp_edge": ("bottom", "bottom"),
+    "load_x": ("10", 10.0), "load_y": ("2.5", 2.5), "load_fx": ("0.5", 0.5),
+    "load_fy": ("-2", -2.0), "E0": ("2e3", 2000.0), "nu": ("0.25", 0.25),
+    "rho_min": ("1e-6", 1e-6), "filter_radius": ("0.5", 0.5), "dgi_radius": ("0.75", 0.75),
+    "rho_low": ("0.2", 0.2), "beta_bar_init": ("2", 2.0), "beta_bar_max": ("20", 20.0),
+    "beta_hat_init": ("0.5", 0.5), "beta_hat_max": ("5", 5.0), "lt_simp": ("off", False),
+    "lt_projection": ("off", False), "dgi": ("off", False), "penalized_reference": ("on", True),
+    "p_init": ("1.5", 1.5), "p_max": ("4", 4.0), "c_p": ("1.1", 1.1),
+    "c_beta_hat": ("1.2", 1.2), "c_beta_bar": ("1.3", 1.3),
+    "continuation_mode": ("simultaneous", "simultaneous"), "step_init": ("0.1", 0.1),
+    "step_decay": ("0.95", 0.95), "step_min": ("1e-3", 1e-3), "vol_frac": ("0.4", 0.4),
+    "rho_init": ("0.5", 0.5), "tol_drho": ("1e-3", 1e-3), "max_iters": ("100", 100),
+    "solver": ("direct", "direct"), "output_dir": ("runs/a b", "runs/a b"),
+    "snapshot_every": ("10", 10), "seed": ("7", 7),
+    "width_profile": ("1 2 3 4.5 50", (1.0, 2.0, 3.0, 4.5, 50)),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_field_parses_back_to_its_value(name):
+    text, value = FIELD_VALUES[name]
+    # the one valid solver is the default, so only that key cannot differ from it
+    assert value != getattr(RunConfig(), name) or name == "solver"
+    parsed = getattr(parse_config_text(f"{name} = {text}\n"), name)
+    assert parsed == value and type(parsed) is type(value)
 
 
 class TestModes:

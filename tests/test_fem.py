@@ -442,7 +442,7 @@ class TestComplianceSensitivity:
         rng = np.random.default_rng(8)
         field = ElementField(rng.uniform(0.0, 1.0, grid.n_elements), "physical")
         solution = fem.StateSolution(u=rng.normal(size=2 * grid.n_nodes), compliance=0.0,
-                                     field_revision=field.revision, residual=0.0,
+                                     field=field, residual=0.0,
                                      moduli=interpolate_modulus(field.values, 3.0, 0.1, mat))
         grad = compliance_sensitivity(grid, solution, field, 3.0, 0.1, mat)
         ue = solution.u[element_dof_map(grid)]
