@@ -11,21 +11,36 @@ from .errors import ConfigError, GeometryError
 from .grid import ElementField, StructuredGrid
 
 VOID_THRESHOLD = 0.001   # densities at or below this count as acceptable void
+SKIN_BAND = 0.002        # width of the skin bands on either side of rho_low
 MAX_FD_STEP = 0.01       # keeps the probes in [0, 1] and most of the probe range off the kink
 
 
-def low_thickness_fraction(rho_physical, rho_low: float) -> float:
-    """Share of material sitting in the undesired band (VOID_THRESHOLD, rho_low).
+def _material_share(rho_physical, low: float, high: float) -> float:
+    """Share of the material, the elements above VOID_THRESHOLD, whose density lies in [low, high).
 
-    Elements are all of one size, so this is the mean of rho < rho_low over the
-    elements above the void threshold; an all-void field returns 0.
+    Elements are all of one size, so this is a count over the material
+    elements; an all-void field returns 0.
     """
     rho = rho_physical.values if isinstance(rho_physical, ElementField) else np.asarray(rho_physical, dtype=float)
     material = rho > VOID_THRESHOLD
     n_material = np.count_nonzero(material)
     if n_material == 0:
         return 0.0
-    return np.count_nonzero(material & (rho < rho_low)) / n_material
+    return np.count_nonzero(material & (rho >= low) & (rho < high)) / n_material
+
+
+def low_thickness_fraction(rho_physical, rho_low: float) -> float:
+    """Share of material sitting in the undesired band (VOID_THRESHOLD, rho_low)."""
+    return _material_share(rho_physical, -np.inf, rho_low)
+
+
+def skin_shares(rho_physical, rho_low: float) -> tuple[float, float]:
+    """Shares of material within SKIN_BAND below rho_low and within SKIN_BAND at or above it.
+
+    Material parked at rho_low, a skin around the members, shows in both.
+    """
+    return (_material_share(rho_physical, rho_low - SKIN_BAND, rho_low),
+            _material_share(rho_physical, rho_low, rho_low + SKIN_BAND))
 
 
 @dataclass

@@ -53,10 +53,13 @@ class ElementField:
 
 def load_node(nx: int, ny: int, h: float, x: float | None = None, y: float | None = None
               ) -> tuple[int, int]:
-    """Indices (i, j) of the node nearest (x, y); by default the right edge at mid height."""
-    x = nx * h if x is None else x
-    y = ny * h / 2.0 if y is None else y
-    return min(max(int(round(x / h)), 0), nx), min(max(int(round(y / h)), 0), ny)
+    """Indices (i, j) of the node nearest (x, y); by default the right edge at mid height.
+
+    A point halfway between two nodes goes to the higher index.
+    """
+    i = nx if x is None else x / h
+    j = ny / 2.0 if y is None else y / h
+    return min(max(math.floor(i + 0.5), 0), nx), min(max(math.floor(j + 0.5), 0), ny)
 
 
 def edge_nodes(nx: int, ny: int, edge: str) -> list[tuple[int, int]]:

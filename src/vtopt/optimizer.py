@@ -1,14 +1,17 @@
 """Design update with volume constraint, continuation scheduling, and the run loop.
 
 The update is an optimality-criteria style multiplicative step: each density is
-scaled by the square root of its sensitivity ratio, capped by a geometrically
-decaying move limit, with a Lagrange multiplier found by a safeguarded Newton
-search in log(lambda) until the resulting physical volume fraction hits the
-target. The penalty exponent and the two projection sharpness parameters
-ramp geometrically from the problem's continuation_start to its
-continuation_end, by default sequentially (sharpness ramps start once the
-penalty exponent is maxed out). build_problem decides which ramps a mode
-uses; an inactive ramp ends where it starts, so it never moves.
+scaled by the square root of its sensitivity ratio, capped by its own move
+limit, with a Lagrange multiplier found by a safeguarded Newton search in
+log(lambda) until the resulting physical volume fraction hits the target. An
+element's limit shrinks when its last two moves had opposite signs and grows
+when they had the same sign, as the asymptotes of Svanberg's method of moving
+asymptotes do (IJNME 1987), within a global limit that decays geometrically.
+The penalty exponent and the two projection sharpness parameters ramp
+geometrically from the problem's continuation_start to its continuation_end,
+by default sequentially (sharpness ramps start once the penalty exponent is
+maxed out). build_problem decides which ramps a mode uses; an inactive ramp
+ends where it starts, so it never moves.
 
 The run loop carries one chain and its volume gradient. The search returns
 its last trial's field, so that trial's chain and volume gradient become the
@@ -38,6 +41,8 @@ if TYPE_CHECKING:
 RATIO_FLOOR = 1e-10      # floor on the sensitivity ratio inside the update
 RATIO_CAP = 1e200        # keeps rho * ratio**damping finite; the clamp saturates far earlier
 DAMPING = 0.5            # exponent on the sensitivity ratio in the multiplicative update
+MOVE_SHRINK = 0.7        # factor on an element's move limit after its move changes sign
+MOVE_GROW = 1.2          # factor on an element's move limit after a move in the same direction
 VOLUME_TOL = 1e-6        # multiplier search tolerance on the volume fraction
 LOG_LAM_BOUND = float(np.log(1e60))   # |log lam| range around the sensitivity scale; beyond it
                                       # the update is saturated anyway
@@ -89,20 +94,22 @@ def delta_rho_mean(rho_old: np.ndarray, rho_new: np.ndarray) -> float:
     return float(np.mean(np.abs(rho_new - rho_old)))
 
 
-def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float, vol_target: float,
-                physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                lam_seed: float = 1.0) -> tuple[np.ndarray, float]:
+def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | np.ndarray,
+                vol_target: float, physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                lam_seed: float | None = None) -> tuple[np.ndarray, float]:
     """Multiplicative exponential design update with a searched volume multiplier.
 
     rho_new = clip(rho * B^0.5, rho - step, rho + step) clipped to [0, 1], with
-    B = max(eps, -dF / (lam * dG)); the decaying step acts as a move limit.
-    physical_map(rho_new) returns the physical field and the gradient of its
-    volume fraction w.r.t. rho_new.
+    B = max(eps, -dF / (lam * dG)); step is the move limit, one for every
+    element or one per element. physical_map(rho_new) returns the physical
+    field and the gradient of its volume fraction w.r.t. rho_new.
 
     The volume excess falls as lam grows, so lam is found by Newton's method in
     t = log(lam), measured from the mean of -dF / dG so that the search does
-    not depend on the problem's scale. The slope of a trial is the
-    volume gradient times d rho_new / dt = -DAMPING * rho_new on the elements no
+    not depend on the problem's scale. Elements whose ratio reaches RATIO_CAP
+    are left out of that mean, which they would swamp. Without lam_seed the
+    search starts at the mean (t = 0). The slope of a trial is the volume
+    gradient times d rho_new / dt = -DAMPING * rho_new on the elements no
     clip holds; once two trials lie on one side of the root, their secant takes
     its place, which corrects a slope biased by the parts of the chain that the
     gradient holds fixed. Until a sign change brackets the root, a step is
@@ -123,14 +130,17 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float, vo
         raise ValueError("objective sensitivities must be <= 0")
     if (dG <= 0).any():
         raise ValueError("constraint sensitivities must be > 0")
-    if not 0 < step <= 1:
-        raise ValueError(f"step must be in (0, 1], got {step}")
-    if not lam_seed > 0:
+    step = np.asarray(step, dtype=float)
+    if not ((step > 0) & (step <= 1)).all():
+        raise ValueError(f"step must be in (0, 1], got values in [{step.min()}, {step.max()}]")
+    if lam_seed is not None and not lam_seed > 0:
         raise ValueError("lam_seed must be positive")
 
     base_ratio = np.minimum(-dF, RATIO_CAP * dG) / dG   # divides without overflow
-    scale = float(np.mean(base_ratio)) or 1.0
-    relative_ratio = base_ratio / scale
+    # an element at the cap has next to no volume gradient, so it sets no scale
+    uncapped = base_ratio[-dF < RATIO_CAP * dG]
+    scale = float(np.mean(uncapped)) if uncapped.any() else 1.0
+    relative_ratio = np.minimum(base_ratio, RATIO_CAP * scale) / scale
     lower, upper = np.maximum(rho - step, 0.0), np.minimum(rho + step, 1.0)
 
     def trial(t: float) -> tuple[float, float, np.ndarray, bool]:
@@ -146,7 +156,8 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float, vo
         stuck = bool((held_low if excess > 0.0 else held_high).all())
         return excess, -DAMPING * float(grad[free] @ new[free]), new, stuck
 
-    t = float(np.clip(np.log(lam_seed) - np.log(scale), -LOG_LAM_BOUND, LOG_LAM_BOUND))
+    t = 0.0 if lam_seed is None else \
+        float(np.clip(np.log(lam_seed) - np.log(scale), -LOG_LAM_BOUND, LOG_LAM_BOUND))
     ends: dict[bool, list[float]] = {}   # side -> [t, excess] of its latest trial
     previous = None   # (t, excess) of the trial a Newton or regula falsi step left
     best, last_side, width = np.inf, None, 1.0
@@ -177,6 +188,19 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float, vo
             guess, width, previous = t + direction * width, 2.0 * width, None
         t = float(np.clip(guess, -LOG_LAM_BOUND, LOG_LAM_BOUND))
     raise NumericalError(f"volume multiplier search did not reach tolerance {VOLUME_TOL}")
+
+
+def damp_move_limits(limits: np.ndarray, last_move: np.ndarray, move: np.ndarray, step: float,
+                     step_min: float) -> np.ndarray:
+    """Each element's next move limit, clipped to [step_min, step].
+
+    It shrinks by MOVE_SHRINK when the element's last two moves had opposite
+    signs, grows by MOVE_GROW when they had the same sign, and stays when
+    either was zero.
+    """
+    turn = np.sign(last_move) * np.sign(move)
+    factor = np.where(turn < 0.0, MOVE_SHRINK, np.where(turn > 0.0, MOVE_GROW, 1.0))
+    return np.clip(limits * factor, step_min, step)
 
 
 @dataclass
@@ -239,7 +263,9 @@ def run_optimization(setup: "ProblemSetup",
 
     rho = np.full(grid.n_elements, cfg.rho_init)
     step = cfg.step_init
-    lam = 1.0
+    limits = np.full(grid.n_elements, step)   # each element's move limit
+    move = np.zeros(grid.n_elements)          # each element's last move
+    lam = None   # the first search starts at the sensitivity scale
     history: list[IterationRecord] = []
     converged = False
     chain = forward(setup, rho, state)
@@ -256,7 +282,7 @@ def run_optimization(setup: "ProblemSetup",
         solution, dF = _analyse(setup, chain, state.p)
         dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
         dG = np.maximum(dG, 1e-300)
-        rho_new, lam = gocm_update(rho, dF, dG, step, cfg.vol_frac, physical_map, lam_seed=lam)
+        rho_new, lam = gocm_update(rho, dF, dG, limits, cfg.vol_frac, physical_map, lam_seed=lam)
         drho = delta_rho_mean(rho, rho_new)
 
         record = IterationRecord(
@@ -274,6 +300,7 @@ def run_optimization(setup: "ProblemSetup",
         if callback is not None:
             callback(record, chain, rho)
 
+        last_move, move = move, rho_new - rho
         rho, (chain, dG) = rho_new, trial   # the search returns its latest trial's field
         if drho < cfg.tol_drho and state == end:
             converged = True
@@ -284,6 +311,7 @@ def run_optimization(setup: "ProblemSetup",
             chain = forward(setup, rho, state)
             dG = chain_gradient(chain, vol_grad_phys)
         step = max(step * cfg.step_decay, cfg.step_min)
+        limits = damp_move_limits(limits, last_move, move, step, cfg.step_min)
 
     # final analysis of the accepted design at the last continuation state
     solution, _ = _analyse(setup, chain, state.p)

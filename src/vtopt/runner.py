@@ -7,7 +7,7 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .config import RunConfig
-from .diagnostics import line_profile, transition_width
+from .diagnostics import line_profile, skin_shares, transition_width
 from .errors import VtoptError
 from .export import snapshot_tag, write_history, write_metrics, write_snapshots, write_vtk
 from .grid import ElementField
@@ -37,10 +37,13 @@ def run_single(cfg: RunConfig) -> RunResult:
     snapshot("final", result.raw, result.chain)
     write_vtk(outdir / "design.vtk", setup.grid, result.chain.rho_physical.values)
 
+    skin_below, skin_above = skin_shares(result.chain.rho_physical, cfg.rho_low)
     metrics = {
         "compliance": result.compliance,
         "vol_frac": result.vol_frac,
         "lt_fraction": result.lt_fraction,
+        "skin_below": skin_below,
+        "skin_above": skin_above,
         "iterations": result.iterations,
         "converged": int(result.converged),
     }

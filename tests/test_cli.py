@@ -37,6 +37,7 @@ class TestRunSingle:
         text = (out / "metrics.txt").read_text()
         assert "compliance = " in text
         assert "lt_fraction = " in text
+        assert "skin_below = " in text and "skin_above = " in text
         assert "transition_width = " in text
 
     def test_stage_snapshots_byte_equal_when_maps_are_identity(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from vtopt import fem, optimizer, problem
 from vtopt.config import RunConfig
 from vtopt.diagnostics import (LineProfile, gradient_check, line_profile, low_thickness_fraction,
-                               transition_width)
+                               skin_shares, transition_width)
 from vtopt.errors import ConfigError, GeometryError
 from vtopt.grid import StructuredGrid
 from vtopt.pde_filter import DensityFilter
@@ -31,6 +31,30 @@ class TestLowThicknessFraction:
             rho = rng.uniform(0, 1, 30)
             frac = low_thickness_fraction(rho, 0.1)
             assert 0.0 <= frac <= 1.0
+
+
+class TestSkinShares:
+    def test_hand_example(self):
+        # void, thin, skin below, skin at rho_low, skin above, solid, solid, solid
+        rho = np.array([0.0005, 0.05, 0.0985, 0.1, 0.1015, 0.5, 0.9, 1.0])
+        below, above = skin_shares(rho, 0.1)
+        assert below == pytest.approx(1 / 7)
+        assert above == pytest.approx(2 / 7)
+
+    def test_band_edges(self):
+        # 0.098 is the band's lower edge; 0.1021 lies past its upper edge
+        below, above = skin_shares(np.array([0.0979, 0.098, 0.1021, 0.5]), 0.1)
+        assert (below, above) == (0.25, 0.0)
+
+    def test_all_void_returns_zeros(self):
+        assert skin_shares(np.zeros(5), 0.1) == (0.0, 0.0)
+
+    def test_below_share_is_part_of_the_thin_share(self):
+        rng = np.random.default_rng(1)
+        rho = rng.uniform(0.09, 0.11, 200)
+        below, above = skin_shares(rho, 0.1)
+        assert 0.0 < below <= low_thickness_fraction(rho, 0.1)
+        assert 0.0 < above and below + above <= 1.0
 
 
 class TestLineProfile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vtopt.errors import ConfigError
-from vtopt.grid import ElementField, StructuredGrid
+from vtopt.grid import ElementField, StructuredGrid, load_node
 
 
 def brute_force_neighborhood(grid, e, r):
@@ -51,6 +51,16 @@ class TestBuildGrid:
         g = StructuredGrid(4, 4, 1.0)
         assert g.element_at(4.0, 4.0) == g.element_index(3, 3)
         assert g.element_at(0.0, 0.0) == 0
+
+
+class TestLoadNode:
+    @pytest.mark.parametrize("ny,row", [(3, 2), (4, 2), (5, 3), (7, 4), (8, 4), (9, 5)])
+    def test_default_load_sits_at_mid_height_rounding_ties_up(self, ny, row):
+        assert load_node(8, ny, 0.25) == (8, row)
+
+    @pytest.mark.parametrize("y,row", [(0.375, 2), (0.625, 3), (0.125, 1), (0.6, 2)])
+    def test_explicit_load_halfway_between_rows_goes_up(self, y, row):
+        assert load_node(8, 4, 0.25, x=0.125, y=y) == (1, row)
 
 
 class TestNeighborhood:

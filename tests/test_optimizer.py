@@ -7,8 +7,8 @@ from vtopt import optimizer
 from vtopt.config import RunConfig
 from vtopt.fem import MaterialModel, cantilever_bc, element_dof_map, element_stiffness, interpolate_modulus
 from vtopt.grid import StructuredGrid
-from vtopt.optimizer import (ContinuationState, delta_rho_mean, forward, gocm_update,
-                             run_optimization, update_continuation)
+from vtopt.optimizer import (ContinuationState, damp_move_limits, delta_rho_mean, forward,
+                             gocm_update, run_optimization, update_continuation)
 from vtopt.problem import build_problem
 
 
@@ -199,6 +199,29 @@ class TestGocmUpdate:
         new, _ = gocm_update(rho, dF, dG, step, 0.5, identity_map)
         assert np.abs(new - rho).max() <= step + 1e-12
 
+    def test_per_element_move_limits_bind_element_by_element(self):
+        rho = np.full(6, 0.5)
+        limits = np.array([0.01, 0.02, 0.03, 0.04, 0.05, 0.06])
+        dG = np.full(6, 1 / 6)
+        dF = -np.array([1e6, 1e6, 1e6, 1e-6, 1e-6, 1e-6]) * dG   # three grow, three shrink
+        expected = rho + limits * np.array([1, 1, 1, -1, -1, -1])
+        new, _ = gocm_update(rho, dF, dG, limits, float(expected.mean()), identity_map)
+        np.testing.assert_allclose(new, expected, rtol=0, atol=1e-12)
+
+    def test_equal_per_element_limits_match_one_limit(self):
+        rho, dF, dG, target = self.cube_case()
+        cube = lambda x: (x ** 3, 3.0 * x ** 2 / x.size)   # noqa: E731
+        scalar = gocm_update(rho, dF, dG, 0.05, target, physical_map=cube)
+        array = gocm_update(rho, dF, dG, np.full(rho.size, 0.05), target, physical_map=cube)
+        assert np.array_equal(scalar[0], array[0]) and scalar[1] == array[1]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, 1.5, np.nan])
+    def test_rejects_a_move_limit_outside_the_unit_interval(self, bad):
+        limits = np.full(4, 0.05)
+        limits[2] = bad
+        with pytest.raises(ValueError):
+            gocm_update(np.full(4, 0.5), -np.ones(4), np.ones(4), limits, 0.5, identity_map)
+
     @staticmethod
     def cube_case():
         rng = np.random.default_rng(4)
@@ -254,6 +277,18 @@ class TestGocmUpdate:
         new, lam = gocm_update(rho, dF, dG, 0.05, target, identity_map)
         assert abs(new.mean() - target) <= 1e-6
         assert 1e-60 < lam * E0 < 1e60
+
+    def test_an_element_without_volume_gradient_does_not_set_the_scale(self):
+        # its ratio hits RATIO_CAP; in the mean it would move the search window past the root
+        rng = np.random.default_rng(6)
+        rho = rng.uniform(0.2, 0.8, 18)
+        dG = np.full(18, 1 / 18)
+        dG[4] = 1e-300
+        dF = -rng.uniform(0.5, 2.0, 18) * 1e65 / 18
+        target = float(rho.mean()) - 0.02
+        new, _ = gocm_update(rho, dF, dG, 0.05, target, identity_map)
+        assert abs(new.mean() - target) <= 1e-6
+        assert new[4] == pytest.approx(rho[4] + 0.05)   # an unbounded ratio grows the element
 
     def test_rejects_positive_objective_gradient(self):
         with pytest.raises(ValueError):
@@ -343,6 +378,42 @@ class TestRunOptimization:
             assert b == pytest.approx(max(a * 0.98, 1e-4), rel=1e-12)
         assert steps[-1] == pytest.approx(1e-4)
 
+    def test_move_limits_shrink_on_a_sign_flip_and_grow_on_a_repeat(self, monkeypatch):
+        cfg = RunConfig(nx=12, ny=6, h=0.25, max_iters=400)
+        calls = []   # (raw density, move limits, new raw density) of each update
+        update = optimizer.gocm_update
+
+        def recorded(rho, dF, dG, step, *args, **kwargs):
+            new, lam = update(rho, dF, dG, step, *args, **kwargs)
+            calls.append((rho.copy(), np.array(step, dtype=float), new))
+            return new, lam
+
+        monkeypatch.setattr(optimizer, "gocm_update", recorded)
+        result = run_optimization(build_problem(cfg))
+        assert result.converged
+        steps = [rec.step for rec in result.history]
+        assert (calls[0][1] == cfg.step_init).all()
+        flips = repeats = 0
+        moves = [np.zeros(calls[0][0].size)] + [new - rho for rho, _, new in calls]
+        for k in range(1, len(calls)):
+            limits, last = calls[k][1], calls[k - 1][1]
+            turn = np.sign(moves[k - 1]) * np.sign(moves[k])
+            expected = np.where(turn < 0, 0.7 * last, np.where(turn > 0, 1.2 * last, last))
+            np.testing.assert_allclose(limits, np.clip(expected, cfg.step_min, steps[k]),
+                                       rtol=1e-12, atol=0)
+            assert (limits >= cfg.step_min).all() and (limits <= steps[k]).all()
+            flips += np.count_nonzero(turn < 0)
+            repeats += np.count_nonzero(turn > 0)
+        assert flips > 0 and repeats > 0
+
+    def test_damped_limits_clip_to_the_global_limit_and_its_floor(self):
+        limits = np.array([0.01, 0.01, 0.01, 0.03, 2e-4, 0.02])
+        last = np.array([1.0, 1.0, 0.0, 1.0, 1.0, -1.0])
+        move = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+        np.testing.assert_allclose(damp_move_limits(limits, last, move, 0.03, 1e-4),
+                                   [0.007, 0.012, 0.01, 0.03, 1.4e-4, 0.024], rtol=1e-12)
+        np.testing.assert_allclose(damp_move_limits(limits, last, move, 0.03, 1.5e-4)[4], 1.5e-4)
+
     def test_continuation_sequences_nondecreasing_in_history(self):
         cfg = RunConfig(nx=8, ny=4, h=0.25, max_iters=400)
         result = run_optimization(build_problem(cfg))
@@ -378,6 +449,11 @@ class TestRunOptimization:
 
     def test_volume_search_needs_few_forward_passes(self, monkeypatch):
         assert self.search_passes_per_update(monkeypatch, RunConfig(nx=20, ny=10)) <= 4
+
+    def test_first_search_starts_near_its_root(self, monkeypatch):
+        # seeded at the sensitivity scale; a seed of lam = 1 took 9 passes here
+        passes = self.search_passes_per_update(monkeypatch, RunConfig(max_iters=1))
+        assert passes <= 6
 
     def test_steepest_projection_needs_few_forward_passes(self, monkeypatch):
         # the black-white projection at beta_bar = 25 is the chain's steepest map
