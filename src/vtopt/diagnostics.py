@@ -47,8 +47,6 @@ def skin_shares(rho_physical, rho_low: float) -> tuple[float, float]:
 class LineProfile:
     """Field values sampled along a segment by nearest-element lookup."""
 
-    start: tuple[float, float]
-    end: tuple[float, float]
     arc: np.ndarray
     values: np.ndarray
 
@@ -69,7 +67,7 @@ def line_profile(grid: StructuredGrid, field, p0, p1, n: int) -> LineProfile:
     points = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     sampled = np.array([values[grid.element_at(x, y)] for x, y in points])
     arc = t * float(np.linalg.norm(p1 - p0))
-    return LineProfile(start=tuple(p0), end=tuple(p1), arc=arc, values=sampled)
+    return LineProfile(arc=arc, values=sampled)
 
 
 def transition_width(profile: LineProfile, lo: float = 0.05, hi: float = 0.95) -> float | None:
@@ -108,8 +106,7 @@ def transition_width(profile: LineProfile, lo: float = 0.05, hi: float = 0.95) -
 
 
 def _cross(s0, s1, v0, v1, level):
-    if v1 == v0:
-        return s0
+    """Arc length where the segment from (s0, v0) to (s1, v1) meets level; v1 > v0."""
     return s0 + (s1 - s0) * (level - v0) / (v1 - v0)
 
 

@@ -28,16 +28,6 @@ def write_history(path, records: list[IterationRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_history(path) -> list[dict]:
-    lines = Path(path).read_text().strip().splitlines()
-    keys = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append({k: (int(v) if k == "iter" else float(v)) for k, v in zip(keys, parts)})
-    return rows
-
-
 def field_to_text(grid: StructuredGrid, values: np.ndarray) -> str:
     """Row-major text matrix: line j holds elements j*nx .. j*nx+nx-1 (bottom row first)."""
     rows = np.asarray(values, dtype=float).reshape(grid.ny, grid.nx)

@@ -44,10 +44,15 @@ class BoundaryConditions:
     def __post_init__(self):
         object.__setattr__(self, "fixed", tuple(map(tuple, self.fixed)))
         object.__setattr__(self, "loads", tuple(map(tuple, self.loads)))
-        if self.fixed_dofs().size < 3:
+        fixed = self.fixed_dofs()
+        if fixed.size < 3:
             raise StructuralError("at least 3 independent fixed dofs are required")
-        if not any(v != 0.0 for _, _, v in self.loads):
-            raise StructuralError("load vector is zero")
+        # loads summed per dof as load_vector sums them; on fixed dofs they do no work
+        loaded: dict[int, float] = {}
+        for n, a, v in self.loads:
+            loaded[2 * n + a] = loaded.get(2 * n + a, 0.0) + v
+        if not any(v != 0.0 for dof, v in loaded.items() if dof not in fixed):
+            raise StructuralError("load vector is zero on the free dofs")
 
     def fixed_dofs(self) -> np.ndarray:
         """Sorted global indices of the fixed dofs, read-only."""
@@ -74,7 +79,6 @@ class StateSolution:
     u: np.ndarray
     compliance: float
     field: ElementField
-    residual: float
     moduli: np.ndarray
 
 
@@ -310,28 +314,22 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
     pattern = band_pattern(grid, bc)
     f, ff, fnorm = pattern.load, pattern.load_free, pattern.load_norm
 
+    sol = splu(pattern.band(E, k0)).solve(ff)
+    if not np.isfinite(sol).all():
+        raise StructuralError("singular stiffness system (insufficient constraints)")
     u = np.zeros_like(f)
-    if fnorm == 0.0:
-        residual = 0.0
-    else:
-        sol = splu(pattern.band(E, k0)).solve(ff)
-        if not np.isfinite(sol).all():
-            raise StructuralError("singular stiffness system (insufficient constraints)")
-        u[pattern.free] = sol
-        edof = element_dof_map(grid)
-        Ku = np.bincount(edof.ravel(), weights=(E[:, None] * (u[edof] @ k0)).ravel(),
-                         minlength=f.size)
-        residual = np.linalg.norm(Ku[pattern.free] - ff) / fnorm
-        if not residual <= DIRECT_RESIDUAL_TOL:
-            if residual > 1e-6:   # far beyond roundoff: rank deficiency, not precision loss
-                raise StructuralError("singular stiffness system (insufficient constraints), "
-                                      f"solve residual {residual:.3e}")
-            raise NumericalError(f"direct solve residual {residual:.3e} exceeds "
-                                 f"{DIRECT_RESIDUAL_TOL:.0e}")
-
-    compliance = float(f @ u)
-    return StateSolution(u=u, compliance=compliance, field=rho_physical, residual=residual,
-                         moduli=E)
+    u[pattern.free] = sol
+    edof = element_dof_map(grid)
+    Ku = np.bincount(edof.ravel(), weights=(E[:, None] * (u[edof] @ k0)).ravel(),
+                     minlength=f.size)
+    residual = np.linalg.norm(Ku[pattern.free] - ff) / fnorm
+    if not residual <= DIRECT_RESIDUAL_TOL:
+        if residual > 1e-6:   # far beyond roundoff: rank deficiency, not precision loss
+            raise StructuralError("singular stiffness system (insufficient constraints), "
+                                  f"solve residual {residual:.3e}")
+        raise NumericalError(f"direct solve residual {residual:.3e} exceeds "
+                             f"{DIRECT_RESIDUAL_TOL:.0e}")
+    return StateSolution(u=u, compliance=float(f @ u), field=rho_physical, moduli=E)
 
 
 def compliance_sensitivity(grid: StructuredGrid, solution: StateSolution,

@@ -44,9 +44,6 @@ class ElementField:
     def __reduce__(self):
         return ElementField, (self.values, self.stage)
 
-    def __len__(self):
-        return self.values.shape[-1]
-
     def __repr__(self):
         return f"ElementField(stage={self.stage!r}, shape={self.values.shape})"
 
@@ -109,10 +106,6 @@ class StructuredGrid:
         return self.nx * self.ny
 
     @property
-    def n_nodes(self) -> int:
-        return (self.nx + 1) * (self.ny + 1)
-
-    @property
     def width(self) -> float:
         return self.nx * self.h
 
@@ -129,13 +122,6 @@ class StructuredGrid:
         if not (0 <= i <= self.nx and 0 <= j <= self.ny):
             raise IndexError(f"node ({i}, {j}) outside grid")
         return j * (self.nx + 1) + i
-
-    def element_centers(self) -> np.ndarray:
-        """(n_elements, 2) array of element center coordinates."""
-        e = np.arange(self.n_elements)
-        x = (e % self.nx + 0.5) * self.h
-        y = (e // self.nx + 0.5) * self.h
-        return np.column_stack([x, y])
 
     def element_at(self, x: float, y: float) -> int:
         """Element containing point (x, y); points on the upper/right boundary clamp inward."""

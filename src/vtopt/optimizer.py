@@ -85,15 +85,6 @@ class IterationRecord:
     lt_fraction: float
 
 
-def delta_rho_mean(rho_old: np.ndarray, rho_new: np.ndarray) -> float:
-    """Mean absolute density change between iterations."""
-    rho_old = np.asarray(rho_old, dtype=float)
-    rho_new = np.asarray(rho_new, dtype=float)
-    if rho_old.shape != rho_new.shape:
-        raise ValueError("field lengths must match")
-    return float(np.mean(np.abs(rho_new - rho_old)))
-
-
 def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | np.ndarray,
                 vol_target: float, physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                 lam_seed: float | None = None) -> tuple[np.ndarray, float]:
@@ -268,22 +259,26 @@ def run_optimization(setup: "ProblemSetup",
     lam = None   # the first search starts at the sensitivity scale
     history: list[IterationRecord] = []
     converged = False
-    chain = forward(setup, rho, state)
-    dG = chain_gradient(chain, vol_grad_phys)
+
+    def forward_with_volume_gradient(raw):
+        built = forward(setup, raw, state)
+        return built, chain_gradient(built, vol_grad_phys)
+
+    chain, dG = forward_with_volume_gradient(rho)
     trial = None   # chain and volume gradient of the volume search's latest trial
 
     def physical_map(raw):
         nonlocal trial
-        built = forward(setup, raw, state)
-        trial = built, chain_gradient(built, vol_grad_phys)
-        return built.rho_physical.values, trial[1]
+        trial = forward_with_volume_gradient(raw)
+        return trial[0].rho_physical.values, trial[1]
 
     for iteration in range(1, cfg.max_iters + 1):
         solution, dF = _analyse(setup, chain, state.p)
         dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
         dG = np.maximum(dG, 1e-300)
         rho_new, lam = gocm_update(rho, dF, dG, limits, cfg.vol_frac, physical_map, lam_seed=lam)
-        drho = delta_rho_mean(rho, rho_new)
+        last_move, move = move, rho_new - rho
+        drho = float(np.mean(np.abs(move)))
 
         record = IterationRecord(
             iteration=iteration,
@@ -300,7 +295,6 @@ def run_optimization(setup: "ProblemSetup",
         if callback is not None:
             callback(record, chain, rho)
 
-        last_move, move = move, rho_new - rho
         rho, (chain, dG) = rho_new, trial   # the search returns its latest trial's field
         if drho < cfg.tol_drho and state == end:
             converged = True
@@ -308,8 +302,7 @@ def run_optimization(setup: "ProblemSetup",
         state, previous = update_continuation(cfg, state, end), state
         # p never enters the chain, so only a sharpness step rebuilds it
         if (state.beta_hat, state.beta_bar) != (previous.beta_hat, previous.beta_bar):
-            chain = forward(setup, rho, state)
-            dG = chain_gradient(chain, vol_grad_phys)
+            chain, dG = forward_with_volume_gradient(rho)
         step = max(step * cfg.step_decay, cfg.step_min)
         limits = damp_move_limits(limits, last_move, move, step, cfg.step_min)
 

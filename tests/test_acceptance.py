@@ -298,7 +298,8 @@ class TestOracleEquivalence:
         # neighborhood statistics against an all-pairs scan
         grid = StructuredGrid(8, 8, 0.25)
         rng = np.random.default_rng(2)
-        centers = grid.element_centers()
+        e = np.arange(grid.n_elements)
+        centers = np.column_stack([(e % grid.nx + 0.5) * grid.h, (e // grid.nx + 0.5) * grid.h])
         stats_ok = True
         for r in (0.25, 0.375, 0.6):
             field = rng.uniform(0, 1, grid.n_elements)
@@ -316,7 +317,7 @@ class TestOracleEquivalence:
         result = vtopt.run_optimization(setup)
         k0 = element_stiffness(setup.material.nu)
         edof = element_dof_map(setup.grid)
-        n_dofs = 2 * setup.grid.n_nodes
+        n_dofs = 2 * (setup.grid.nx + 1) * (setup.grid.ny + 1)
         scatter = np.zeros((setup.grid.n_elements, n_dofs, n_dofs))
         for e in range(setup.grid.n_elements):
             scatter[e][np.ix_(edof[e], edof[e])] = k0

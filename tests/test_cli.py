@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,16 @@ from vtopt import runner
 from vtopt.cli import main
 from vtopt.config import CLAMP_EDGES, CONTINUATION_MODES, RunConfig, parse_config_text
 from vtopt.errors import ConfigError, NumericalError
-from vtopt.export import read_field_text, read_history
+from vtopt.export import read_field_text
 from vtopt.runner import run_ablation_suite, run_single
 
 FAST = "nx = 12\nny = 6\nh = 0.5\n"
+
+
+def read_history(path):
+    """The rows of a history.csv, each a dict of column name to number."""
+    with open(path, newline="") as lines:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(lines)]
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):

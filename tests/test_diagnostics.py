@@ -98,7 +98,7 @@ class TestLineProfile:
 def make_profile(arc, values):
     arc = np.asarray(arc, dtype=float)
     values = np.asarray(values, dtype=float)
-    return LineProfile(start=(0.0, 0.0), end=(arc[-1], 0.0), arc=arc, values=values)
+    return LineProfile(arc=arc, values=values)
 
 
 class TestTransitionWidth:

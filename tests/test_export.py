@@ -1,9 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from vtopt.export import (HISTORY_HEADER, field_to_text, read_field_text, read_history,
-                          write_field_pgm, write_field_text, write_history, write_metrics,
-                          write_vtk)
+from vtopt.export import (HISTORY_HEADER, field_to_text, read_field_text, write_field_pgm,
+                          write_field_text, write_history, write_metrics, write_vtk)
 from vtopt.grid import StructuredGrid
 from vtopt.optimizer import IterationRecord
 
@@ -21,10 +22,11 @@ class TestHistory:
         write_history(path, [record(1), record(2, drho_mean=5e-5)])
         text = path.read_text()
         assert text.splitlines()[0] == HISTORY_HEADER
-        rows = read_history(path)
-        assert rows[0]["iter"] == 1
-        assert rows[1]["drho_mean"] == pytest.approx(5e-5)
-        assert rows[1]["compliance"] == pytest.approx(85.0, rel=1e-9)
+        with path.open(newline="") as lines:
+            rows = list(csv.DictReader(lines))
+        assert int(rows[0]["iter"]) == 1
+        assert float(rows[1]["drho_mean"]) == pytest.approx(5e-5)
+        assert float(rows[1]["compliance"]) == pytest.approx(85.0, rel=1e-9)
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

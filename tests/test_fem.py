@@ -33,15 +33,26 @@ def sympy_element_stiffness(nu):
     return np.array(k.evalf(), dtype=float)
 
 
-def dense_solve(grid, bc, E_per_element, nu):
-    """Dense assembly and numpy solve, independent of the sparse path."""
+def n_dofs(grid):
+    return 2 * (grid.nx + 1) * (grid.ny + 1)
+
+
+def dense_stiffness(grid, E_per_element, nu):
+    """Dense assembly of the full stiffness matrix, independent of the band path."""
     k0 = element_stiffness(nu)
     edof = element_dof_map(grid)
-    n = 2 * grid.n_nodes
+    n = n_dofs(grid)
     K = np.zeros((n, n))
     for e in range(grid.n_elements):
         idx = edof[e]
         K[np.ix_(idx, idx)] += E_per_element[e] * k0
+    return K
+
+
+def dense_solve(grid, bc, E_per_element, nu):
+    """Dense assembly and numpy solve, independent of the band path."""
+    K = dense_stiffness(grid, E_per_element, nu)
+    n = K.shape[0]
     f = bc.load_vector(n)
     free = np.setdiff1d(np.arange(n), bc.fixed_dofs())
     u = np.zeros(n)
@@ -49,10 +60,18 @@ def dense_solve(grid, bc, E_per_element, nu):
     return u, float(f @ u)
 
 
+def free_residual(grid, bc, E_per_element, nu, u):
+    """||K u - f|| / ||f|| over the free dofs, with the dense K."""
+    K = dense_stiffness(grid, E_per_element, nu)
+    f = bc.load_vector(K.shape[0])
+    free = np.setdiff1d(np.arange(K.shape[0]), bc.fixed_dofs())
+    return np.linalg.norm((K @ u - f)[free]) / np.linalg.norm(f[free])
+
+
 def coo_free_stiffness(grid, bc, E, k0):
     """K_ff in natural dof order by COO summation, independent of the cached pattern."""
     edof = element_dof_map(grid)
-    n = 2 * grid.n_nodes
+    n = n_dofs(grid)
     K = coo_matrix(((E[:, None, None] * k0).ravel(),
                     (np.repeat(edof, 8, axis=1).ravel(), np.tile(edof, (1, 8)).ravel())),
                    shape=(n, n)).tocsc()
@@ -148,6 +167,19 @@ class TestBoundaryConditions:
         with pytest.raises(StructuralError):
             BoundaryConditions(fixed=[(0, 0), (0, 1), (1, 1)], loads=[(3, 1, 0.0)])
 
+    @pytest.mark.parametrize("loads", [[(1, 1, -1.0)], [(0, 0, 0.3), (0, 1, -1.0)],
+                                       [(3, 1, 1.0), (3, 1, -1.0)]])
+    def test_requires_load_on_a_free_dof(self, loads):
+        # loads on clamped dofs only, or cancelling on one free dof, do no work
+        with pytest.raises(StructuralError, match="free dofs"):
+            BoundaryConditions(fixed=[(0, 0), (0, 1), (1, 1)], loads=loads)
+
+    def test_a_load_on_the_clamped_edge_is_rejected(self):
+        grid = StructuredGrid(8, 4, 0.25)
+        with pytest.raises(StructuralError, match="free dofs"):
+            cantilever_bc(grid, load_x=0.0, load_y=0.5)
+        cantilever_bc(grid, load_x=0.25, load_y=0.5)   # one column in: a free node
+
     def test_fixed_dofs_are_one_read_only_array(self):
         grid = StructuredGrid(8, 4, 0.25)
         bc = cantilever_bc(grid)
@@ -176,9 +208,9 @@ class TestBoundaryConditions:
         field = ElementField(np.full(grid.n_elements, 0.6), "physical")
         assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
         assemble_and_solve(grid, bc, field, 3.0, 0.1, MaterialModel())
-        assert built == [2 * grid.n_nodes]
+        assert built == [n_dofs(grid)]
         pattern = band_pattern(grid, bc)
-        expected = build(bc, 2 * grid.n_nodes)
+        expected = build(bc, n_dofs(grid))
         np.testing.assert_array_equal(pattern.load, expected)
         np.testing.assert_array_equal(pattern.load_free, expected[pattern.free])
         assert pattern.load_norm == np.linalg.norm(pattern.load_free)
@@ -195,7 +227,7 @@ class TestBoundaryConditions:
         compliances = []
         for bc in (down, sideways):
             np.testing.assert_array_equal(band_pattern(grid, bc).load,
-                                          bc.load_vector(2 * grid.n_nodes))
+                                          bc.load_vector(n_dofs(grid)))
             compliances.append(assemble_and_solve(grid, bc, field, 3.0, 0.1, mat).compliance)
             assert compliances[-1] == pytest.approx(dense_solve(grid, bc, E, mat.nu)[1], rel=1e-10)
         assert compliances[0] != compliances[1]
@@ -219,6 +251,11 @@ class TestBoundaryConditions:
         field = ElementField(np.full(grid.n_elements, 1.0), "physical")
         with pytest.raises(StructuralError):
             assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
+
+
+def clamped_bc(grid, edge):
+    """cantilever_bc clamped on edge; a right clamp takes the load on the left edge."""
+    return cantilever_bc(grid, clamp_edge=edge, load_x=0.0 if edge == "right" else None)
 
 
 GRIDS_AND_EDGES = [((1, 1), "left"), ((3, 2), "bottom"), ((8, 4), "left"), ((7, 12), "top"),
@@ -246,16 +283,16 @@ class TestFreeStiffnessPattern:
     @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
     def test_order_is_a_permutation_of_exactly_the_free_dofs(self, size, edge):
         grid = StructuredGrid(*size, 0.5)
-        bc = cantilever_bc(grid, clamp_edge=edge)
+        bc = clamped_bc(grid, edge)
         free = band_pattern(grid, bc).free
-        expected = np.setdiff1d(np.arange(2 * grid.n_nodes), bc.fixed_dofs())
+        expected = np.setdiff1d(np.arange(n_dofs(grid)), bc.fixed_dofs())
         assert free.size == expected.size
         assert np.array_equal(np.sort(free), expected)
 
     @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES)
     def test_matches_coo_assembly_entry_for_entry(self, size, edge):
         grid = StructuredGrid(*size, 0.5)
-        bc = cantilever_bc(grid, clamp_edge=edge)
+        bc = clamped_bc(grid, edge)
         E = np.random.default_rng(sum(size)).uniform(1e-3, 1.0, grid.n_elements)
         pattern = band_pattern(grid, bc)
         k0 = element_stiffness(0.3)
@@ -300,7 +337,7 @@ class TestFreeStiffnessPattern:
         assert band_pattern(grid, cantilever_bc(grid)) is \
             band_pattern(same_size, cantilever_bc(same_size))
         assert band_pattern(grid, cantilever_bc(grid)) is not \
-            band_pattern(grid, cantilever_bc(grid, clamp_edge="right"))
+            band_pattern(grid, clamped_bc(grid, "right"))
         assert band_pattern(grid, cantilever_bc(grid)) is not \
             band_pattern(StructuredGrid(4, 8, 0.25), cantilever_bc(StructuredGrid(4, 8, 0.25)))
 
@@ -312,9 +349,10 @@ class TestAssembleAndSolve:
         mat = MaterialModel()
         field = ElementField([1.0], "physical")
         sol = assemble_and_solve(grid, bc, field, 1.0, 0.1, mat)
-        _, expected = dense_solve(grid, bc, interpolate_modulus(field.values, 1.0, 0.1, mat), mat.nu)
+        E = interpolate_modulus(field.values, 1.0, 0.1, mat)
+        _, expected = dense_solve(grid, bc, E, mat.nu)
         assert sol.compliance == pytest.approx(expected, rel=1e-12)
-        assert sol.residual <= 1e-10
+        assert free_residual(grid, bc, E, mat.nu, sol.u) <= 1e-10
 
     def test_matches_dense_oracle_random_field(self):
         grid = StructuredGrid(4, 3, 0.5)
@@ -354,11 +392,12 @@ class TestAssembleAndSolve:
         mat = MaterialModel()
         field = ElementField(np.random.default_rng(3).uniform(0.05, 1.0, grid.n_elements), "physical")
         sol = assemble_and_solve(grid, bc, field, 3.0, 0.1, mat)
-        u, expected = dense_solve(grid, bc, interpolate_modulus(field.values, 3.0, 0.1, mat), mat.nu)
+        E = interpolate_modulus(field.values, 3.0, 0.1, mat)
+        u, expected = dense_solve(grid, bc, E, mat.nu)
         assert expected > 0
         assert sol.compliance == pytest.approx(expected, rel=1e-12)
         assert np.allclose(sol.u, u, rtol=0.0, atol=1e-12 * np.abs(u).max())
-        assert sol.residual <= 1e-12
+        assert free_residual(grid, bc, E, mat.nu, sol.u) <= 1e-12
 
     def test_unknown_solver_is_rejected(self):
         grid = StructuredGrid(2, 1, 1.0)
@@ -441,8 +480,7 @@ class TestComplianceSensitivity:
         mat = MaterialModel()
         rng = np.random.default_rng(8)
         field = ElementField(rng.uniform(0.0, 1.0, grid.n_elements), "physical")
-        solution = fem.StateSolution(u=rng.normal(size=2 * grid.n_nodes), compliance=0.0,
-                                     field=field, residual=0.0,
+        solution = fem.StateSolution(u=rng.normal(size=n_dofs(grid)), compliance=0.0, field=field,
                                      moduli=interpolate_modulus(field.values, 3.0, 0.1, mat))
         grad = compliance_sensitivity(grid, solution, field, 3.0, 0.1, mat)
         ue = solution.u[element_dof_map(grid)]

@@ -7,8 +7,8 @@ from vtopt import optimizer
 from vtopt.config import RunConfig
 from vtopt.fem import MaterialModel, cantilever_bc, element_dof_map, element_stiffness, interpolate_modulus
 from vtopt.grid import StructuredGrid
-from vtopt.optimizer import (ContinuationState, damp_move_limits, delta_rho_mean, forward,
-                             gocm_update, run_optimization, update_continuation)
+from vtopt.optimizer import (ContinuationState, damp_move_limits, forward, gocm_update,
+                             run_optimization, update_continuation)
 from vtopt.problem import build_problem
 
 
@@ -115,25 +115,6 @@ class TestContinuationRamps:
         last = result.history[-1]
         assert ContinuationState(p=last.p, beta_hat=last.beta_hat,
                                  beta_bar=last.beta_bar) == setup.continuation_end
-
-
-class TestDeltaRhoMean:
-    def test_identical_fields(self):
-        assert delta_rho_mean(np.full(4, 0.3), np.full(4, 0.3)) == 0.0
-
-    def test_uniform_change(self):
-        old = np.full(10, 0.5)
-        assert delta_rho_mean(old, old + 0.01) == pytest.approx(0.01)
-
-    def test_hand_example(self):
-        old = np.array([0.2, 0.4])
-        new = np.array([0.3, 0.1])
-        assert delta_rho_mean(old, new) == pytest.approx(0.2)
-
-    def test_signed_changes_do_not_cancel(self):
-        old = np.array([0.2, 0.4])
-        new = np.array([0.3, 0.3])
-        assert delta_rho_mean(old, new) == pytest.approx(0.1)
 
 
 def identity_map(rho):
@@ -313,7 +294,7 @@ def exhaustive_search(setup, levels, vol_target):
     mat = setup.material
     k0 = element_stiffness(mat.nu)
     edof = element_dof_map(grid)
-    n_dofs = 2 * grid.n_nodes
+    n_dofs = 2 * (grid.nx + 1) * (grid.ny + 1)
     scatter = np.zeros((grid.n_elements, n_dofs, n_dofs))
     for e in range(grid.n_elements):
         scatter[e][np.ix_(edof[e], edof[e])] = k0
@@ -405,6 +386,26 @@ class TestRunOptimization:
             flips += np.count_nonzero(turn < 0)
             repeats += np.count_nonzero(turn > 0)
         assert flips > 0 and repeats > 0
+
+    def test_drho_mean_is_the_mean_absolute_change_between_callbacks(self):
+        records, raws = [], []
+
+        def collect(record, chain, rho):
+            records.append(record)
+            raws.append(rho.copy())
+
+        result = run_optimization(build_problem(RunConfig(nx=8, ny=4, h=0.25, max_iters=60)),
+                                  callback=collect)
+        raws.append(result.raw.values)   # the field the last update accepted
+        assert len(records) == result.iterations >= 2
+        mixed = 0
+        for record, old, new in zip(records, raws, raws[1:]):
+            assert record.drho_mean == float(np.mean(np.abs(new - old)))
+            # a move up and a move down add up rather than cancel
+            if (new > old).any() and (new < old).any():
+                mixed += 1
+                assert record.drho_mean > abs(float(np.mean(new - old)))
+        assert mixed > 0
 
     def test_damped_limits_clip_to_the_global_limit_and_its_floor(self):
         limits = np.array([0.01, 0.01, 0.01, 0.03, 2e-4, 0.02])
