@@ -117,6 +117,45 @@ class TestContinuationRamps:
                                  beta_bar=last.beta_bar) == setup.continuation_end
 
 
+def drho_means(monkeypatch, fields):
+    """Each record's drho_mean when the run loop's updates return `fields` in turn.
+
+    The updates start from the uniform initial field; each returned field also
+    goes through the loop's physical map, as a real volume search's last trial does.
+    """
+    replies = iter(fields)
+
+    def scripted(rho, dF, dG, step, vol_frac, physical_map, lam_seed=None):
+        new = np.array(next(replies), dtype=float)
+        physical_map(new)
+        return new, 1.0
+
+    monkeypatch.setattr(optimizer, "gocm_update", scripted)
+    result = run_optimization(build_problem(RunConfig(nx=4, ny=2, h=0.5, max_iters=len(fields))))
+    return [record.drho_mean for record in result.history]
+
+
+class TestDeltaRhoMean:
+    """The run loop's drho_mean: the mean absolute change of the raw field per update."""
+
+    def test_identical_fields(self, monkeypatch):
+        assert drho_means(monkeypatch, [np.full(8, 0.3), np.full(8, 0.3)])[1] == 0.0
+
+    def test_uniform_change(self, monkeypatch):
+        old = np.full(8, 0.5)
+        assert drho_means(monkeypatch, [old, old + 0.01])[1] == pytest.approx(0.01)
+
+    def test_hand_example(self, monkeypatch):
+        old = np.tile([0.2, 0.4], 4)
+        new = np.tile([0.3, 0.1], 4)
+        assert drho_means(monkeypatch, [old, new])[1] == pytest.approx(0.2)
+
+    def test_signed_changes_do_not_cancel(self, monkeypatch):
+        old = np.tile([0.2, 0.4], 4)
+        new = np.tile([0.3, 0.3], 4)
+        assert drho_means(monkeypatch, [old, new])[1] == pytest.approx(0.1)
+
+
 def identity_map(rho):
     """A physical map that leaves the field as it is, with its volume-fraction gradient."""
     return rho, np.full(rho.size, 1 / rho.size)
