@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .errors import NumericalError, StaleStateError, StructuralError
 from .grid import ElementField, StructuredGrid, edge_nodes, load_node
@@ -35,7 +36,8 @@ class BoundaryConditions:
     """Fixed dofs as (node, axis) pairs and point loads as (node, axis, value).
 
     A hashable value: the band pattern and load vectors derived from it are
-    cached per grid size and bc value (band_pattern).
+    cached per grid size and bc value (band_pattern). The hash is taken once,
+    at construction; equality still compares the pairs.
     """
 
     fixed: tuple[tuple[int, int], ...]
@@ -44,6 +46,7 @@ class BoundaryConditions:
     def __post_init__(self):
         object.__setattr__(self, "fixed", tuple(map(tuple, self.fixed)))
         object.__setattr__(self, "loads", tuple(map(tuple, self.loads)))
+        object.__setattr__(self, "_hash", hash((self.fixed, self.loads)))
         fixed = self.fixed_dofs()
         if fixed.size < 3:
             raise StructuralError("at least 3 independent fixed dofs are required")
@@ -53,6 +56,9 @@ class BoundaryConditions:
             loaded[2 * n + a] = loaded.get(2 * n + a, 0.0) + v
         if not any(v != 0.0 for dof, v in loaded.items() if dof not in fixed):
             raise StructuralError("load vector is zero on the free dofs")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def fixed_dofs(self) -> np.ndarray:
         """Sorted global indices of the fixed dofs, read-only."""
@@ -188,44 +194,42 @@ class BandPattern:
 
     ``free[k]`` is the global dof of row and column k. K_ff[i, j] with i >= j
     sits at ``ab[i - j, j]`` of a Fortran-ordered (bandwidth + 1, n) array.
-    ``rows``/``cols`` pick the element-matrix entries on or below the diagonal
-    in this order (the same for every element); ``scatter`` gives, for each
-    of them and each element, its slot in ``ab``'s memory. Entries that touch
-    a fixed dof go to the extra slot ``ab.size``, which is dropped.
-    ``load`` is the bc's load vector, ``load_free`` its part on ``free`` and
-    ``load_norm`` that part's norm.
+    ``slots`` are the band slots K_ff can fill, in ``ab``'s memory order, and
+    ``operator`` the sparse matrix that maps element moduli to their values:
+    row s holds the unit element stiffness entry each element adds to
+    ``slots[s]``, ordered by element. ``load`` is the bc's load vector,
+    ``load_free`` its part on ``free`` and ``load_norm`` that part's norm.
     """
 
     free: np.ndarray
     bandwidth: int
-    rows: np.ndarray
-    cols: np.ndarray
-    scatter: np.ndarray
+    slots: np.ndarray
+    operator: csr_matrix
     load: np.ndarray
     load_free: np.ndarray
     load_norm: float
 
-    def band(self, E: np.ndarray, k0: np.ndarray) -> np.ndarray:
-        """K_ff in lower band storage for element moduli E and unit element stiffness k0."""
+    def band(self, E: np.ndarray) -> np.ndarray:
+        """K_ff in lower band storage for element moduli E."""
         n, width = self.free.size, self.bandwidth + 1
-        weights = E[:, None] * k0[self.rows, self.cols]
-        data = np.bincount(self.scatter.ravel(), weights=weights.ravel(), minlength=n * width + 1)
-        return data[:n * width].reshape(n, width).T
+        data = np.zeros(n * width)
+        data[self.slots] = self.operator @ E
+        return data.reshape(n, width).T
 
 
-def band_pattern(grid: StructuredGrid, bc: BoundaryConditions) -> BandPattern:
-    """The K_ff band pattern and loads of a grid size and bc, built on first use and cached."""
-    return _band_pattern(grid.nx, grid.ny, bc)
+def band_pattern(grid: StructuredGrid, bc: BoundaryConditions, nu: float) -> BandPattern:
+    """The K_ff band pattern and loads of a grid size, bc and nu, built on first use and cached."""
+    return _band_pattern(grid.nx, grid.ny, bc, nu)
 
 
 @functools.lru_cache(maxsize=8)
-def _band_pattern(nx: int, ny: int, bc: BoundaryConditions) -> BandPattern:
+def _band_pattern(nx: int, ny: int, bc: BoundaryConditions, nu: float) -> BandPattern:
     nodes = band_order(nx, ny)
     dofs = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
     free = dofs[~np.isin(dofs, bc.fixed_dofs())]
     n = free.size
     rank = np.argsort(dofs)
-    position = np.full(dofs.size, -1, dtype=np.int64)
+    position = np.full(dofs.size, -1, dtype=np.int32)
     position[free] = np.arange(n)
     edof = _element_dofs(nx, ny)
     # every element orders its dofs alike and dropping fixed dofs keeps that order,
@@ -234,12 +238,26 @@ def _band_pattern(nx: int, ny: int, bc: BoundaryConditions) -> BandPattern:
     i, j = position[edof[:, rows]], position[edof[:, cols]]
     kept = (i >= 0) & (j >= 0)
     bandwidth = int((i - j)[kept].max(initial=0))
-    scatter = np.where(kept, j * (bandwidth + 1) + i - j, (bandwidth + 1) * n)
+    slot = (j * np.int64(bandwidth + 1) + i - j)[kept]
+    # each index array is megabytes at 160x80; freeing one before the next is
+    # built keeps the heap, and so the peak of the first solve, lower
+    del i, j
+    used = np.zeros(n * (bandwidth + 1), dtype=bool)
+    used[slot] = True
+    slots = np.flatnonzero(used)
+    del used
+    row = np.searchsorted(slots, slot).astype(np.int32)
+    del slot
+    # column e holds element e's entries, at most one per slot; converting to
+    # CSR orders every slot's entries by element
+    operator = csc_matrix((np.broadcast_to(element_stiffness(nu)[rows, cols], kept.shape)[kept],
+                           row, np.concatenate([[0], np.cumsum(kept.sum(axis=1))])),
+                          shape=(slots.size, nx * ny)).tocsr()
     load = bc.load_vector(dofs.size)
-    pattern = BandPattern(free=free, bandwidth=bandwidth, rows=rows, cols=cols, scatter=scatter,
+    pattern = BandPattern(free=free, bandwidth=bandwidth, slots=slots, operator=operator,
                           load=load, load_free=load[free], load_norm=np.linalg.norm(load[free]))
-    for array in (pattern.free, pattern.rows, pattern.cols, pattern.scatter, pattern.load,
-                  pattern.load_free):
+    for array in (pattern.free, pattern.slots, operator.data, operator.indices, operator.indptr,
+                  pattern.load, pattern.load_free):
         array.setflags(write=False)
     return pattern
 
@@ -311,10 +329,10 @@ def assemble_and_solve(grid: StructuredGrid, bc: BoundaryConditions,
         raise ValueError(f"unknown solver {solver!r}")
     E = interpolate_modulus(rho_physical.values, p, rho_low, mat, interpolation)
     k0 = element_stiffness(mat.nu)
-    pattern = band_pattern(grid, bc)
+    pattern = band_pattern(grid, bc, mat.nu)
     f, ff, fnorm = pattern.load, pattern.load_free, pattern.load_norm
 
-    sol = splu(pattern.band(E, k0)).solve(ff)
+    sol = splu(pattern.band(E)).solve(ff)
     if not np.isfinite(sol).all():
         raise StructuralError("singular stiffness system (insufficient constraints)")
     u = np.zeros_like(f)

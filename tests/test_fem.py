@@ -209,7 +209,7 @@ class TestBoundaryConditions:
         assemble_and_solve(grid, bc, field, 1.0, 0.1, MaterialModel())
         assemble_and_solve(grid, bc, field, 3.0, 0.1, MaterialModel())
         assert built == [n_dofs(grid)]
-        pattern = band_pattern(grid, bc)
+        pattern = band_pattern(grid, bc, 0.3)
         expected = build(bc, n_dofs(grid))
         np.testing.assert_array_equal(pattern.load, expected)
         np.testing.assert_array_equal(pattern.load_free, expected[pattern.free])
@@ -226,13 +226,13 @@ class TestBoundaryConditions:
         assert down.fixed == sideways.fixed
         compliances = []
         for bc in (down, sideways):
-            np.testing.assert_array_equal(band_pattern(grid, bc).load,
+            np.testing.assert_array_equal(band_pattern(grid, bc, mat.nu).load,
                                           bc.load_vector(n_dofs(grid)))
             compliances.append(assemble_and_solve(grid, bc, field, 3.0, 0.1, mat).compliance)
             assert compliances[-1] == pytest.approx(dense_solve(grid, bc, E, mat.nu)[1], rel=1e-10)
         assert compliances[0] != compliances[1]
         assert cantilever_bc(grid) == down and cantilever_bc(grid) is not down
-        assert band_pattern(grid, cantilever_bc(grid)) is band_pattern(grid, down)
+        assert band_pattern(grid, cantilever_bc(grid), mat.nu) is band_pattern(grid, down, mat.nu)
 
     def test_singular_system_is_a_structural_error(self):
         grid = StructuredGrid(3, 2, 1.0)
@@ -271,6 +271,20 @@ def band_to_dense(ab):
     return np.tril(K) + np.tril(K, -1).T
 
 
+def bincount_band(grid, E, k0, pattern):
+    """The band of K_ff summed by one np.bincount over every element's entries in element order."""
+    n, width = pattern.free.size, pattern.bandwidth + 1
+    position = np.full(n_dofs(grid), -1)
+    position[pattern.free] = np.arange(n)
+    at = position[element_dof_map(grid)]
+    i, j = at[:, :, None], at[:, None, :]
+    # on or below the diagonal, both dofs free; the rest goes to a dropped extra slot
+    slot = np.where((i >= j) & (j >= 0), j * width + i - j, n * width)
+    data = np.bincount(slot.ravel(), weights=(E[:, None, None] * k0).ravel(),
+                       minlength=n * width + 1)
+    return data[:n * width].reshape(n, width).T
+
+
 class TestFreeStiffnessPattern:
     """The band pattern of the free-dof stiffness K_ff."""
 
@@ -284,7 +298,7 @@ class TestFreeStiffnessPattern:
     def test_order_is_a_permutation_of_exactly_the_free_dofs(self, size, edge):
         grid = StructuredGrid(*size, 0.5)
         bc = clamped_bc(grid, edge)
-        free = band_pattern(grid, bc).free
+        free = band_pattern(grid, bc, 0.3).free
         expected = np.setdiff1d(np.arange(n_dofs(grid)), bc.fixed_dofs())
         assert free.size == expected.size
         assert np.array_equal(np.sort(free), expected)
@@ -294,11 +308,11 @@ class TestFreeStiffnessPattern:
         grid = StructuredGrid(*size, 0.5)
         bc = clamped_bc(grid, edge)
         E = np.random.default_rng(sum(size)).uniform(1e-3, 1.0, grid.n_elements)
-        pattern = band_pattern(grid, bc)
+        pattern = band_pattern(grid, bc, 0.3)
         k0 = element_stiffness(0.3)
         # undo the permutation: row/column k of K is global dof pattern.free[k]
         undo = np.argsort(pattern.free)
-        K = band_to_dense(pattern.band(E, k0))[undo][:, undo]
+        K = band_to_dense(pattern.band(E))[undo][:, undo]
         reference = coo_free_stiffness(grid, bc, E, k0).toarray()
         # an entry sums up to four element contributions, here in another order;
         # the difference is bounded by roundoff of the sum of their magnitudes
@@ -306,24 +320,32 @@ class TestFreeStiffnessPattern:
         assert np.array_equal(K != 0.0, reference != 0.0)
         assert (np.abs(K - reference) <= 1e-15 * magnitude).all()
 
+    @pytest.mark.parametrize("size,edge", GRIDS_AND_EDGES + [((80, 40), "left")])
+    def test_band_equals_an_element_order_bincount_bit_for_bit(self, size, edge):
+        grid = StructuredGrid(*size, 0.5)
+        bc = clamped_bc(grid, edge)
+        E = np.random.default_rng(sum(size)).uniform(1e-9, 1.0, grid.n_elements)
+        pattern = band_pattern(grid, bc, 0.3)
+        assert np.array_equal(pattern.band(E), bincount_band(grid, E, element_stiffness(0.3), pattern))
+
     @pytest.mark.parametrize("size", [(8, 4), (4, 9), (2, 30), (30, 2)])
     def test_half_width_follows_the_shorter_side(self, size):
         grid = StructuredGrid(*size, 0.5)
-        pattern = band_pattern(grid, cantilever_bc(grid))
+        pattern = band_pattern(grid, cantilever_bc(grid), 0.3)
         assert pattern.bandwidth <= 2 * (min(size) + 1) + 3
 
     def test_factor_stores_the_whole_band(self):
         grid = StructuredGrid(7, 12, 0.5)
-        pattern = band_pattern(grid, cantilever_bc(grid))
-        factor = fem.splu(pattern.band(np.ones(grid.n_elements), element_stiffness(0.3)))
+        pattern = band_pattern(grid, cantilever_bc(grid), 0.3)
+        factor = fem.splu(pattern.band(np.ones(grid.n_elements)))
         assert factor.nnz == pattern.free.size * (pattern.bandwidth + 1)
 
     @pytest.mark.parametrize("first", [0, 1, 57, -1])
     def test_solve_from_the_first_nonzero_row_matches_dpbtrs(self, first):
         grid = StructuredGrid(7, 12, 0.5)
-        pattern = band_pattern(grid, cantilever_bc(grid))
+        pattern = band_pattern(grid, cantilever_bc(grid), 0.3)
         E = np.random.default_rng(11).uniform(1e-3, 1.0, grid.n_elements)
-        factor = fem.splu(pattern.band(E, element_stiffness(0.3)))
+        factor = fem.splu(pattern.band(E))
         rhs = np.random.default_rng(12).normal(size=pattern.free.size)
         rhs[:first % rhs.size] = 0.0
         kept = rhs.copy()
@@ -334,12 +356,14 @@ class TestFreeStiffnessPattern:
     def test_pattern_is_cached_per_grid_size_and_fixed_dofs(self):
         grid = StructuredGrid(8, 4, 0.25)
         same_size = StructuredGrid(8, 4, 1.0)
-        assert band_pattern(grid, cantilever_bc(grid)) is \
-            band_pattern(same_size, cantilever_bc(same_size))
-        assert band_pattern(grid, cantilever_bc(grid)) is not \
-            band_pattern(grid, clamped_bc(grid, "right"))
-        assert band_pattern(grid, cantilever_bc(grid)) is not \
-            band_pattern(StructuredGrid(4, 8, 0.25), cantilever_bc(StructuredGrid(4, 8, 0.25)))
+        assert band_pattern(grid, cantilever_bc(grid), 0.3) is \
+            band_pattern(same_size, cantilever_bc(same_size), 0.3)
+        assert band_pattern(grid, cantilever_bc(grid), 0.3) is not \
+            band_pattern(grid, clamped_bc(grid, "right"), 0.3)
+        assert band_pattern(grid, cantilever_bc(grid), 0.3) is not \
+            band_pattern(StructuredGrid(4, 8, 0.25), cantilever_bc(StructuredGrid(4, 8, 0.25)), 0.3)
+        assert band_pattern(grid, cantilever_bc(grid), 0.3) is not \
+            band_pattern(grid, cantilever_bc(grid), 0.2)
 
 
 class TestAssembleAndSolve:
@@ -353,6 +377,21 @@ class TestAssembleAndSolve:
         _, expected = dense_solve(grid, bc, E, mat.nu)
         assert sol.compliance == pytest.approx(expected, rel=1e-12)
         assert free_residual(grid, bc, E, mat.nu, sol.u) <= 1e-10
+
+    def test_each_poisson_ratio_solves_with_its_own_element_stiffness(self):
+        grid = StructuredGrid(8, 4, 0.25)
+        bc = cantilever_bc(grid)
+        field = ElementField(np.random.default_rng(5).uniform(0.05, 1.0, grid.n_elements),
+                             "physical")
+        compliances = []
+        for nu in (0.3, 0.2):
+            mat = MaterialModel(nu=nu)
+            sol = assemble_and_solve(grid, bc, field, 3.0, 0.1, mat)
+            u, compliance = dense_solve(grid, bc, interpolate_modulus(field.values, 3.0, 0.1, mat), nu)
+            assert sol.compliance == pytest.approx(compliance, rel=1e-10)
+            np.testing.assert_allclose(sol.u, u, rtol=1e-9, atol=1e-12 * np.abs(u).max())
+            compliances.append(sol.compliance)
+        assert compliances[0] != pytest.approx(compliances[1], rel=1e-3)
 
     def test_matches_dense_oracle_random_field(self):
         grid = StructuredGrid(4, 3, 0.5)
