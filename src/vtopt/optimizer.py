@@ -103,10 +103,10 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | n
     gradient times d rho_new / dt = -DAMPING * rho_new on the elements no
     clip holds; once two trials lie on one side of the root, their secant takes
     its place, which corrects a slope biased by the parts of the chain that the
-    gradient holds fixed. Until a sign change brackets the root, a step is
-    capped at a width that doubles whenever it binds; after that, a Newton step
-    that leaves the bracket, or that follows a trial which did not halve the
-    smallest excess so far, gives way to Illinois regula falsi on the bracket.
+    gradient holds fixed. Bisection safeguards Newton (rtsafe, Numerical
+    Recipes 9.4): after an unusable slope, a step out of the bracket of the
+    latest trials on each side of the root or an excess not halved, the next
+    trial bisects that bracket, or tries the bound beyond t if it has one end.
     The search stops when the volume fraction equals vol_target within
     VOLUME_TOL, or when no lam can move the field further toward it (every
     element held by a clip in that direction, or |t| at LOG_LAM_BOUND): a
@@ -117,9 +117,9 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | n
     rho = np.asarray(rho, dtype=float)
     dF = np.asarray(dF, dtype=float)
     dG = np.asarray(dG, dtype=float)
-    if (dF > 0).any():
+    if not (dF <= 0).all():
         raise ValueError("objective sensitivities must be <= 0")
-    if (dG <= 0).any():
+    if not (dG > 0).all():
         raise ValueError("constraint sensitivities must be > 0")
     step = np.asarray(step, dtype=float)
     if not ((step > 0) & (step <= 1)).all():
@@ -149,9 +149,8 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | n
 
     t = 0.0 if lam_seed is None else \
         float(np.clip(np.log(lam_seed) - np.log(scale), -LOG_LAM_BOUND, LOG_LAM_BOUND))
-    ends: dict[bool, list[float]] = {}   # side -> [t, excess] of its latest trial
-    previous = None   # (t, excess) of the trial a Newton or regula falsi step left
-    best, last_side, width = np.inf, None, 1.0
+    lo, hi = -np.inf, np.inf   # t of the latest trial below and above the root
+    previous, best = None, np.inf   # (t, excess) of the last trial, least |excess| so far
     for _ in range(MAX_ROOT_STEPS):
         f, slope, new, stuck = trial(t)
         side = f > 0.0   # too much material raises the multiplier, too little lowers it
@@ -163,20 +162,11 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | n
             secant = (f - previous[1]) / (t - previous[0])
             slope = secant if secant < 0.0 else slope
         slow = abs(f) > 0.5 * best
-        best = min(best, abs(f))
-        if side == last_side and (not side) in ends:
-            ends[not side][1] *= 0.5   # Illinois: the other end was kept twice in a row
-        ends[side], last_side = [t, f], side
+        best, previous = min(best, abs(f)), (t, f)
+        lo, hi = (t, hi) if side else (lo, t)
         guess = t - f / slope if slope < 0.0 else np.nan
-        if (not side) in ends:
-            (t_a, f_a), (t_b, f_b) = ends[True], ends[False]
-            if slow or not min(t_a, t_b) < guess < max(t_a, t_b):
-                guess = t_b - f_b * (t_b - t_a) / (f_b - f_a)
-            previous = (t, f)
-        elif abs(guess - t) < width:
-            previous = (t, f)
-        else:   # no usable slope, or a step beyond the cap: widen outward
-            guess, width, previous = t + direction * width, 2.0 * width, None
+        if slow or not lo < guess < hi:
+            guess = 0.5 * (lo + hi)   # with no trial past the root, the clip makes it the bound
         t = float(np.clip(guess, -LOG_LAM_BOUND, LOG_LAM_BOUND))
     raise NumericalError(f"volume multiplier search did not reach tolerance {VOLUME_TOL}")
 

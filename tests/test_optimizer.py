@@ -260,7 +260,7 @@ class TestGocmUpdate:
         assert abs(np.mean(new ** 3) - target) <= 1e-6
         assert 1e-60 < lam < 1e60
 
-    @pytest.mark.parametrize("slope_error", [0.5, 2.0])
+    @pytest.mark.parametrize("slope_error", [0.5, 2.0, 0.0, -1.0])   # the last two give no slope
     def test_wrong_slope_still_converges(self, slope_error):
         rho, dF, dG, target = self.cube_case()
         passes = []
@@ -310,15 +310,74 @@ class TestGocmUpdate:
         assert abs(new.mean() - target) <= 1e-6
         assert new[4] == pytest.approx(rho[4] + 0.05)   # an unbounded ratio grows the element
 
-    def test_rejects_positive_objective_gradient(self):
-        with pytest.raises(ValueError):
-            gocm_update(np.array([0.5]), np.array([1.0]), np.array([1.0]), 0.05, 0.3,
-                        identity_map)
+    def test_a_target_past_the_reach_of_an_element_without_volume_gradient_ends_at_the_bound(self):
+        # that element grows at every lam, so no clip holds the whole field: only |t| ends
+        rng = np.random.default_rng(7)
+        rho = rng.uniform(0.2, 0.8, 18)
+        dG = np.full(18, 1 / 18)
+        dG[4] = 1e-300
+        dF = -rng.uniform(0.5, 2.0, 18) / 18
+        passes = []
 
-    def test_rejects_nonpositive_constraint_gradient(self):
+        def counted(x):
+            passes.append(1)
+            return identity_map(x)
+
+        new, _ = gocm_update(rho, dF, dG, 0.05, float(rho.mean()) - 0.2, counted)
+        np.testing.assert_allclose(np.delete(new, 4), np.delete(rho, 4) - 0.05, rtol=0, atol=1e-12)
+        assert new[4] == pytest.approx(rho[4] + 0.05)
+        assert len(passes) <= 3
+
+    @pytest.mark.parametrize("bad", [1.0, np.nan])
+    def test_rejects_positive_objective_gradient(self, bad):
+        dF = np.full(4, -1.0)
+        dF[2] = bad
         with pytest.raises(ValueError):
-            gocm_update(np.array([0.5]), np.array([-1.0]), np.array([0.0]), 0.05, 0.3,
-                        identity_map)
+            gocm_update(np.full(4, 0.5), dF, np.ones(4), 0.05, 0.3, identity_map)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_rejects_nonpositive_constraint_gradient(self, bad):
+        dG = np.ones(4)
+        dG[2] = bad
+        with pytest.raises(ValueError):
+            gocm_update(np.full(4, 0.5), -np.ones(4), dG, 0.05, 0.3, identity_map)
+
+
+def random_search(seed):
+    """gocm_update's arguments for a random search with a target inside the move box's reach.
+
+    The physical map is the identity or the cube, its volume gradient off by a
+    factor 0.3, 1 or 3; the sensitivities and the seed span 1e+-40 and 1e+-80
+    of scale; every element has its own move limit.
+    """
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi, size=None):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+    n = int(rng.integers(2, 60))
+    power, slope_error = rng.choice([1, 3]), rng.choice([0.3, 1.0, 3.0])
+    rho = rng.uniform(0.01, 0.99, n)
+    limits = rng.uniform(1e-3, 0.3, n)
+    dG = power * rho ** (power - 1) / n
+    scale = log_uniform(1e-40, 1e40)
+    dF = -dG * log_uniform(1e-3, 1e3, n) * scale
+    lower, upper = np.maximum(rho - limits, 0.0), np.minimum(rho + limits, 1.0)
+    target = float(np.mean(rng.uniform(lower, upper) ** power))
+
+    def physical_map(x):
+        return x ** power, slope_error * power * x ** (power - 1) / x.size
+
+    return dict(rho=rho, dF=dF, dG=dG, step=limits, vol_target=target, physical_map=physical_map,
+                lam_seed=scale * log_uniform(1e-80, 1e80))
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_every_reachable_volume_target_is_hit(seed):
+    search = random_search(seed)
+    new, _ = gocm_update(**search)
+    volume = np.mean(search["physical_map"](new)[0])
+    assert abs(volume - search["vol_target"]) <= optimizer.VOLUME_TOL
 
 
 def toy_setup():
