@@ -359,6 +359,10 @@ def compliance_sensitivity(grid: StructuredGrid, solution: StateSolution,
     k0 = element_stiffness(mat.nu)
     edof = element_dof_map(grid)
     ue = solution.u[edof]
-    energies = ((ue @ k0) * ue).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # the check below names it
+        energies = ((ue @ k0) * ue).sum(axis=1)
+    if not np.isfinite(energies).all():
+        raise ValueError(f"element energies u^T k0 u are not finite: at the stiffness scale "
+                         f"E0 = {mat.E0:g} they leave the float range")
     dE = modulus_derivative(rho_physical.values, p, rho_low, mat, interpolation)
     return -(energies * dE)

@@ -3,7 +3,10 @@
 The update is an optimality-criteria style multiplicative step: each density is
 scaled by the square root of its sensitivity ratio, capped by its own move
 limit, with a Lagrange multiplier found by a safeguarded Newton search in
-log(lambda) until the resulting physical volume fraction hits the target. An
+log(lambda) until the resulting physical volume fraction hits the target. The
+search first finds the root of the volume linearized at the current design,
+which costs no forward pass (as Ferrari & Sigmund's 99-line code does, SMO
+2020), and then confirms it on the regularization chain from there. An
 element's limit shrinks when its last two moves had opposite signs and grows
 when they had the same sign, as the asymptotes of Svanberg's method of moving
 asymptotes do (IJNME 1987), within a global limit that decays geometrically.
@@ -13,11 +16,12 @@ by default sequentially (sharpness ramps start once the penalty exponent is
 maxed out). build_problem decides which ramps a mode uses; an inactive ramp
 ends where it starts, so it never moves.
 
-The run loop carries one chain and its volume gradient. The search returns
-its last trial's field, so that trial's chain and volume gradient become the
-next iteration's and the final analysis's; a forward pass outside the search
-runs only before the first iteration and when the projection sharpness steps
-(p never enters the chain).
+The run loop carries one chain and its volume gradient; with the chain's
+volume fraction they are the base of the search's linearization. The search
+returns its last chain trial's field, so that trial's chain and volume
+gradient become the next iteration's and the final analysis's; a forward pass
+outside the search runs only before the first iteration and when the
+projection sharpness steps (p never enters the chain).
 """
 
 from __future__ import annotations
@@ -86,33 +90,38 @@ class IterationRecord:
 
 
 def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | np.ndarray,
-                vol_target: float, physical_map: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                vol_target: float, volume: float,
+                physical_map: Callable[[np.ndarray], tuple[float, np.ndarray]],
                 lam_seed: float | None = None) -> tuple[np.ndarray, float]:
     """Multiplicative exponential design update with a searched volume multiplier.
 
     rho_new = clip(rho * B^0.5, rho - step, rho + step) clipped to [0, 1], with
     B = max(eps, -dF / (lam * dG)); step is the move limit, one for every
-    element or one per element. physical_map(rho_new) returns the physical
-    field and the gradient of its volume fraction w.r.t. rho_new.
+    element or one per element. volume is the physical volume fraction of rho
+    and dG its gradient. physical_map(rho_new) returns the physical volume
+    fraction of rho_new and its gradient w.r.t. rho_new.
 
     The volume excess falls as lam grows, so lam is found by Newton's method in
     t = log(lam), measured from the mean of -dF / dG so that the search does
     not depend on the problem's scale. Elements whose ratio reaches RATIO_CAP
-    are left out of that mean, which they would swamp. Without lam_seed the
-    search starts at the mean (t = 0). The slope of a trial is the volume
-    gradient times d rho_new / dt = -DAMPING * rho_new on the elements no
-    clip holds; once two trials lie on one side of the root, their secant takes
-    its place, which corrects a slope biased by the parts of the chain that the
-    gradient holds fixed. Bisection safeguards Newton (rtsafe, Numerical
-    Recipes 9.4): after an unusable slope, a step out of the bracket of the
-    latest trials on each side of the root or an excess not halved, the next
-    trial bisects that bracket, or tries the bound beyond t if it has one end.
-    The search stops when the volume fraction equals vol_target within
-    VOLUME_TOL, or when no lam can move the field further toward it (every
-    element held by a clip in that direction, or |t| at LOG_LAM_BOUND): a
-    saturated move limit or an inactive constraint, whose update is returned.
-    Returns the new raw field, which is always the last trial's, and the
-    multiplier found, which makes a good seed for the next iteration.
+    are left out of that mean, which they would swamp. The search runs twice:
+    first on the linearized volume, volume + dG . (rho_new - rho), which costs
+    no forward pass, from lam_seed (or the mean, t = 0, without one); then on
+    physical_map from that root, which a near-linear chain confirms in one
+    pass. The slope of a trial is the volume gradient times
+    d rho_new / dt = -DAMPING * rho_new on the elements no clip holds; once two
+    trials lie on one side of the root, their secant takes its place, which
+    corrects a chain slope biased by the parts of the chain that the gradient
+    holds fixed. Bisection safeguards Newton (rtsafe, Numerical Recipes 9.4):
+    after an unusable slope, a step out of the bracket of the latest trials on
+    each side of the root or an excess not halved, the next trial bisects that
+    bracket, or tries the bound beyond t if it has one end. A search stops
+    when the volume fraction equals vol_target within VOLUME_TOL, or when no
+    lam can move the field further toward it (every element held by a clip in
+    that direction, or |t| at LOG_LAM_BOUND): a saturated move limit or an
+    inactive constraint, whose update is returned. Returns the new raw field,
+    which is always physical_map's last trial, and the multiplier found, which
+    makes a good seed for the next iteration.
     """
     rho = np.asarray(rho, dtype=float)
     dF = np.asarray(dF, dtype=float)
@@ -131,44 +140,52 @@ def gocm_update(rho: np.ndarray, dF: np.ndarray, dG: np.ndarray, step: float | n
     # an element at the cap has next to no volume gradient, so it sets no scale
     uncapped = base_ratio[-dF < RATIO_CAP * dG]
     scale = float(np.mean(uncapped)) if uncapped.any() else 1.0
-    relative_ratio = np.minimum(base_ratio, RATIO_CAP * scale) / scale
-    lower, upper = np.maximum(rho - step, 0.0), np.minimum(rho + step, 1.0)
+    grown_at_scale = rho * (np.minimum(base_ratio, RATIO_CAP * scale) / scale) ** DAMPING
+    # the ratio's floor and cap bound the move as the move limit and [0, 1] do
+    lower = np.maximum(np.maximum(rho - step, 0.0), rho * RATIO_FLOOR ** DAMPING)
+    upper = np.minimum(np.minimum(rho + step, 1.0), rho * RATIO_CAP ** DAMPING)
+    offset = volume - float(dG @ rho)
 
-    def trial(t: float) -> tuple[float, float, np.ndarray, bool]:
-        scaled = relative_ratio * np.exp(-t)
-        grown = rho * np.clip(scaled, RATIO_FLOOR, RATIO_CAP) ** DAMPING
-        new = np.clip(grown, lower, upper)
-        # clips that a larger lam cannot release, and those a smaller lam cannot
-        held_low = (scaled <= RATIO_FLOOR) | (grown <= lower)
-        held_high = (scaled >= RATIO_CAP) | (grown >= upper)
-        free = ~(held_low | held_high)
-        phys, grad = physical_map(new)
-        excess = float(np.mean(phys)) - vol_target
-        stuck = bool((held_low if excess > 0.0 else held_high).all())
-        return excess, -DAMPING * float(grad[free] @ new[free]), new, stuck
+    def linearized(new: np.ndarray) -> tuple[float, np.ndarray]:
+        return offset + float(dG @ new), dG
+
+    def search(volume_of: Callable[[np.ndarray], tuple[float, np.ndarray]], t: float
+               ) -> tuple[float, np.ndarray]:
+        """t and field of the trial that ends the search on volume_of, started at t."""
+        lo, hi = -np.inf, np.inf   # t of the latest trial below and above the root
+        previous, best = None, np.inf   # (t, excess) of the last trial, least |excess| so far
+        for _ in range(MAX_ROOT_STEPS):
+            grown = grown_at_scale * np.exp(-DAMPING * t)
+            new = np.clip(grown, lower, upper)
+            # clips that a larger lam cannot release, and those a smaller lam cannot
+            held_low, held_high = grown <= lower, grown >= upper
+            fraction, grad = volume_of(new)
+            f = fraction - vol_target
+            side = f > 0.0   # too much material raises the multiplier, too little lowers it
+            direction = 1.0 if side else -1.0
+            if abs(f) <= VOLUME_TOL or (held_low if side else held_high).all() \
+                    or direction * t >= LOG_LAM_BOUND:
+                return t, new
+            free = ~(held_low | held_high)
+            slope = -DAMPING * float(grad[free] @ new[free])
+            if previous is not None and (previous[1] > 0.0) == side:
+                # two trials on one side of the root: their secant corrects a biased slope
+                secant = (f - previous[1]) / (t - previous[0])
+                slope = secant if secant < 0.0 else slope
+            slow = abs(f) > 0.5 * best
+            best, previous = min(best, abs(f)), (t, f)
+            lo, hi = (t, hi) if side else (lo, t)
+            guess = t - f / slope if slope < 0.0 else np.nan
+            if slow or not lo < guess < hi:
+                guess = 0.5 * (lo + hi)   # with no trial past the root, the clip makes it the bound
+            t = float(np.clip(guess, -LOG_LAM_BOUND, LOG_LAM_BOUND))
+        raise NumericalError(f"volume multiplier search did not reach tolerance {VOLUME_TOL}")
 
     t = 0.0 if lam_seed is None else \
         float(np.clip(np.log(lam_seed) - np.log(scale), -LOG_LAM_BOUND, LOG_LAM_BOUND))
-    lo, hi = -np.inf, np.inf   # t of the latest trial below and above the root
-    previous, best = None, np.inf   # (t, excess) of the last trial, least |excess| so far
-    for _ in range(MAX_ROOT_STEPS):
-        f, slope, new, stuck = trial(t)
-        side = f > 0.0   # too much material raises the multiplier, too little lowers it
-        direction = 1.0 if side else -1.0
-        if abs(f) <= VOLUME_TOL or stuck or direction * t >= LOG_LAM_BOUND:
-            return new, scale * float(np.exp(t))
-        if previous is not None and (previous[1] > 0.0) == side:
-            # two trials on one side of the root: their secant corrects a biased slope
-            secant = (f - previous[1]) / (t - previous[0])
-            slope = secant if secant < 0.0 else slope
-        slow = abs(f) > 0.5 * best
-        best, previous = min(best, abs(f)), (t, f)
-        lo, hi = (t, hi) if side else (lo, t)
-        guess = t - f / slope if slope < 0.0 else np.nan
-        if slow or not lo < guess < hi:
-            guess = 0.5 * (lo + hi)   # with no trial past the root, the clip makes it the bound
-        t = float(np.clip(guess, -LOG_LAM_BOUND, LOG_LAM_BOUND))
-    raise NumericalError(f"volume multiplier search did not reach tolerance {VOLUME_TOL}")
+    t, _ = search(linearized, t)
+    t, new = search(physical_map, t)
+    return new, scale * float(np.exp(t))
 
 
 def damp_move_limits(limits: np.ndarray, last_move: np.ndarray, move: np.ndarray, step: float,
@@ -260,20 +277,22 @@ def run_optimization(setup: "ProblemSetup",
     def physical_map(raw):
         nonlocal trial
         trial = forward_with_volume_gradient(raw)
-        return trial[0].rho_physical.values, trial[1]
+        return float(np.mean(trial[0].rho_physical.values)), trial[1]
 
     for iteration in range(1, cfg.max_iters + 1):
         solution, dF = _analyse(setup, chain, state.p)
         dF = np.minimum(dF, 0.0)   # roundoff guard; the true gradient is nonpositive
         dG = np.maximum(dG, 1e-300)
-        rho_new, lam = gocm_update(rho, dF, dG, limits, cfg.vol_frac, physical_map, lam_seed=lam)
+        volume = float(np.mean(chain.rho_physical.values))
+        rho_new, lam = gocm_update(rho, dF, dG, limits, cfg.vol_frac, volume, physical_map,
+                                   lam_seed=lam)
         last_move, move = move, rho_new - rho
         drho = float(np.mean(np.abs(move)))
 
         record = IterationRecord(
             iteration=iteration,
             compliance=solution.compliance,
-            vol_frac=float(np.mean(chain.rho_physical.values)),
+            vol_frac=volume,
             drho_mean=drho,
             p=state.p,
             beta_hat=state.beta_hat,

@@ -5,8 +5,10 @@ A change that moves a trajectory on purpose runs
     python3 tests/golden/regenerate.py
 
 and commits the rewritten files with the change. For each config it prints
-the iterations and compliance of the new run, and for each file the first
-eight hex digits of its sha256 before and after, for the change's notes.
+the iterations, compliance and forward passes of the regularization chain
+(calls of `optimizer.forward`, inside the volume search and out) of the new
+run, and for each file the first eight hex digits of its sha256 before and
+after, for the change's notes.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_golden import CONFIGS, GOLDEN, VERSIONS, run, versions  # noqa: E402
+from vtopt import optimizer  # noqa: E402
 
 
 def sha_prefix(path: Path) -> str:
@@ -26,13 +29,23 @@ def sha_prefix(path: Path) -> str:
 
 
 def main() -> None:
+    passes = [0]
+    forward = optimizer.forward
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return forward(*args, **kwargs)
+
+    optimizer.forward = counted
     with tempfile.TemporaryDirectory() as scratch:
         for name in CONFIGS:
             (GOLDEN / name).mkdir(exist_ok=True)
+            passes[0] = 0
             artifacts = run(name, Path(scratch) / name)
             metrics = dict(line.split(" = ", 1) for line in
                            (Path(scratch) / name / "metrics.txt").read_text().splitlines())
-            print(f"{name}: {metrics['iterations']} iterations, compliance {metrics['compliance']}")
+            print(f"{name}: {metrics['iterations']} iterations, compliance {metrics['compliance']}, "
+                  f"{passes[0]} forward passes")
             for artifact, data in artifacts.items():
                 path = GOLDEN / name / artifact
                 old = sha_prefix(path)
